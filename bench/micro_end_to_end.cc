@@ -1,7 +1,7 @@
 // End-to-end micro benchmarks: full SODA translation (Steps 1-5, no
 // execution) per benchmark-query class, executor throughput, and the
-// SodaEngine scaling story — a num_threads sweep over the fan-out of
-// Steps 3-5 plus the LRU cache hit path.
+// SodaEngine scaling story — a num_threads sweep over per-query pool
+// tasks plus the LRU cache hit path.
 
 #include <benchmark/benchmark.h>
 
@@ -85,13 +85,15 @@ Env* env() {
   return instance;
 }
 
-// Note: the fixture is built lazily on first use (building it during
-// static initialization would race the dataset's own static pools), so
-// the first benchmark's first iteration absorbs the one-time setup cost.
+// The fixture is built lazily on first use (building it during static
+// initialization would race the dataset's own static pools). Every
+// benchmark fetches it before its timed loop, so the one-time setup
+// never lands in a measurement.
 
 void TranslateBench(benchmark::State& state, const char* query) {
+  const soda::Soda& soda = *env()->soda;
   for (auto _ : state) {
-    auto output = env()->soda->Search(query);
+    auto output = soda.Search(query);
     benchmark::DoNotOptimize(output);
   }
 }
@@ -141,9 +143,9 @@ void BM_ExecuteGroupByAggregation(benchmark::State& state) {
 BENCHMARK(BM_ExecuteGroupByAggregation);
 
 // ---------------------------------------------------------------------------
-// SodaEngine: num_threads sweep over the Steps 3-5 fan-out. Compare the
-// per-arg times to read the speedup; "interpretations" records how much
-// parallelism the query exposes.
+// SodaEngine: num_threads sweep. Each query translates as one pool task,
+// so a lone Search runs inline and the width only matters for snippets
+// and for batches; "interpretations" records the query's width.
 // ---------------------------------------------------------------------------
 
 void BM_EngineFanoutWidestQuery(benchmark::State& state) {
@@ -185,9 +187,8 @@ BENCHMARK(BM_EngineFanoutWorkload)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
 // SodaEngine: batched SearchAll — the whole 13-query workload admitted as
-// one batch per iteration, Steps 3-5 of every query flattened into one
-// shared task list. "stage_samples" proves the per-stage metrics sink
-// saw the traffic (CI greps for it).
+// one batch per iteration, one pool task per query. "stage_samples"
+// proves the per-stage metrics sink saw the traffic (CI greps for it).
 // ---------------------------------------------------------------------------
 
 void BM_EngineBatchSearchAll(benchmark::State& state) {
@@ -346,11 +347,9 @@ BENCHMARK(BM_EngineAsyncStream);
 
 // Sharded router over replicated engines: the 13-query workload admitted
 // as one batch, split across shards by the folded-hash router and merged
-// back into input order. Sweep shards x per-shard threads; on the 1-vCPU
-// CI box the wall clock stays flat (the shards time-slice one core) but
-// CPU time per shard drops — re-record on multi-core hardware to see the
-// fan-out. "shards" and "router_shard_queries" feed the CI counter guard
-// for the router.* metrics surface.
+// back into input order. Sweep shards x per-shard threads. "shards" and
+// "router_shard_queries" feed the CI counter guard for the router.*
+// metrics surface.
 void BM_ShardedSearchAll(benchmark::State& state) {
   size_t shards = static_cast<size_t>(state.range(0));
   size_t threads = static_cast<size_t>(state.range(1));

@@ -57,10 +57,11 @@ struct SodaConfig {
   /// to false.
   bool drop_disconnected = false;
 
-  /// SodaEngine: width of the worker pool that fans ranked
-  /// interpretations out across Steps 3-5. 0 means "use the hardware
-  /// concurrency"; 1 pins the engine to the serial pipeline. The ranked
-  /// result list is byte-identical at any width.
+  /// SodaEngine: width of the worker pool that runs one task per cache
+  /// miss (all five stages serially) and one per result snippet. 0 means
+  /// "use the hardware concurrency"; 1 runs everything inline on the
+  /// caller's thread. The ranked result list is byte-identical at any
+  /// width.
   size_t num_threads = 0;
 
   /// SodaEngine: capacity of the LRU result cache, keyed on the
@@ -105,10 +106,14 @@ struct SodaConfig {
 
   /// Wall-clock budget for one synchronous sub-batch dispatch: an
   /// attempt that has not completed within this deadline is abandoned
-  /// (its worker keeps running to completion, but the batch stops
-  /// waiting) and retried elsewhere. 0 disables stall detection. Only
-  /// the sync SearchAll path enforces it — an async sub-batch registers
-  /// streaming callbacks, which cannot be safely abandoned mid-flight.
+  /// (its worker keeps running to completion, but the caller stops
+  /// waiting) and retried elsewhere. 0 disables stall detection. It
+  /// applies only to sync submissions that the router runs on its
+  /// dispatch pool, i.e. more than one request across more than one
+  /// shard. A single-request submission or a 1-shard router runs its
+  /// attempt inline on the caller's thread, which cannot abandon it; an
+  /// async sub-batch registers streaming callbacks, which cannot be
+  /// safely abandoned mid-flight.
   double shard_dispatch_deadline_ms = 0.0;
 
   // -------------------------------------------------------------------

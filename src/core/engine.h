@@ -4,37 +4,33 @@
 // Soda::Search runs the Figure 4 stage list serially. The engine wraps
 // the same Soda instance for service-style deployments (think Sigma-style
 // interactive query construction over a warehouse, many users hammering
-// the same schema):
+// the same schema). Every entry point is one Submit, which:
 //
-//   1. an LRU result cache keyed on the whitespace-normalized query
-//      string (case is kept: comparison literals are case-sensitive) —
-//      repeated business queries (dashboards, saved searches)
-//      short-circuit the whole pipeline; hit/miss counters are surfaced
-//      on every response;
-//   2. a fixed-size worker pool that fans the ranked interpretations out
-//      across Steps 3-5 (tables/filters/SQL are independent per
-//      interpretation) and parallelizes snippet execution across result
-//      candidates;
-//   3. a deterministic merge: states are recombined in ranked order and
-//      deduplicated with CanonicalKey, so the ranked SQL list is
-//      byte-identical whether num_threads is 1 or N;
-//   4. a batched front door — SearchAll admits a whole dashboard refresh
-//      at once, dedups identical normalized queries inside the batch
-//      (Steps 1-5 run once per unique query; repeats cost one cache hit),
-//      and flattens every (query, interpretation) pair into one shared
-//      task list so the pool load-balances across the batch;
-//   5. async snippet streaming — SearchAsync/SearchAllAsync return the
-//      translated, ranked SQL immediately and deliver each executed
+//   1. deduplicates the submission's requests on their cache key
+//      (ConstrainedCacheKey) and probes an LRU result cache once per
+//      unique key — the key is the whitespace-normalized query string
+//      (case is kept: comparison literals are case-sensitive), extended
+//      by the constraint fingerprint; repeated business queries
+//      (dashboards, saved searches) short-circuit the whole pipeline, and
+//      hit/miss counters are surfaced on every response;
+//   2. runs each miss as one task on a fixed-size worker pool: the task
+//      drives all five stages serially through RunPipeline, the same
+//      loop as Soda::Search, so the ranked SQL list is byte-identical
+//      to the serial reference at any num_threads. The pool schedules
+//      only queries and snippets — a lone miss runs inline on the caller;
+//   3. executes result snippets as one flat pool task list across the
+//      submission's misses, or — on the async entry — returns the
+//      translated, ranked SQL immediately and delivers each executed
 //      snippet through a SnippetCallback as the pool finishes it, with a
 //      SnippetBarrier as the deterministic completion point;
-//   6. pluggable observability — every stage latency, cache hit/miss,
-//      batch dedup, snippet outcome and queue-depth sample flows into a
-//      MetricsSink (default: in-memory counters + histograms, snapshot
-//      via metrics_snapshot());
-//   7. interactive sessions — Search takes SessionConstraints (cached
-//      under ConstrainedCacheKey), and SearchSession captures/resumes a
-//      TranslationPlan so a session's Refine re-runs only the stages a
-//      constraint change can affect (core/service.h, core/session.h).
+//   4. serves interactive sessions: a request carrying a TranslationPlan
+//      slot resumes the held plan inside its task, so a session's Refine
+//      re-runs only the stages a constraint change can affect
+//      (core/service.h, core/session.h);
+//   5. reports to a pluggable MetricsSink — every stage latency, cache
+//      hit/miss, batch dedup, snippet outcome and queue-depth sample
+//      (default: in-memory counters + histograms, snapshot via
+//      metrics_snapshot()).
 //
 // The engine is safe to share across caller threads: all entry points are
 // const, the cache and sink are internally locked, and the underlying
@@ -90,57 +86,22 @@ class SodaEngine : public SodaService {
   /// Wraps an already-constructed Soda.
   explicit SodaEngine(std::unique_ptr<Soda> soda);
 
-  using SodaService::Search;
-  using SodaService::SearchAll;
-
-  /// Cached, concurrent search under `constraints` (empty = classic
-  /// behavior). On a cache hit the stored output is copied with
-  /// `from_cache` set; on a miss the pipeline runs with Steps 3-5 fanned
-  /// out across the pool. Every response carries the engine-lifetime
-  /// cache counters and the pool width.
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override;
-
-  /// Session search: Search + TranslationPlan capture/resume — see
-  /// SodaService::SearchSession for the contract and the stage-skip
-  /// matrix.
-  Result<SearchOutput> SearchSession(
-      const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override;
-
-  /// Batched search: one dashboard refresh in, per-query outputs out, in
-  /// input order. Identical normalized queries inside the batch are
-  /// deduplicated before the cache is touched — the pipeline runs once
-  /// per unique query and repeats are booked as one miss + N-1 hits.
-  /// Step-1/2 lookup runs once per unique query across the pool, then
-  /// every (query, interpretation) pair joins one flat task list, so a
-  /// batch of narrow queries parallelizes as well as one wide query.
-  /// Per-query failures (e.g. a malformed query) error only their own
-  /// slot. Results are byte-identical to N independent Search calls at
-  /// any thread count.
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const override;
-
-  /// Async search: returns the translated, ranked SQL immediately —
-  /// results carry executed=false and empty snippets (unless served from
-  /// cache, which already holds them) — then executes snippets on the
-  /// pool, delivering each through `on_snippet` exactly once per result.
-  /// `barrier` (required) is the completion point; once the last snippet
-  /// of a query lands, the fully materialized output is inserted into
-  /// the result cache. query_index is always 0 for this entry point.
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override;
-
-  /// Batched async search: SearchAll's dedup/amortization for the
-  /// translation phase, snippet streaming for the execution phase. Each
-  /// input index receives exactly one callback per result in its output;
-  /// deduplicated repeats share one snippet execution but still get
-  /// their own callbacks (with their own query_index).
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override;
+  /// Serves a submission (see SodaService::Submit). On a cache hit the
+  /// stored output is copied with `from_cache` set, `stages_skipped` = 5
+  /// and zeroed stage timings, whichever run stored it; a miss runs the
+  /// pipeline as one pool task. The sync entries execute snippets before
+  /// returning and cache the materialized answer. The async entry
+  /// returns results with executed=false and empty snippets (unless
+  /// served from cache, which already holds them), then executes the
+  /// snippets on the pool, delivering each through the callback exactly
+  /// once per (request index, result index); once the last snippet of a
+  /// query lands, its materialized output is inserted into the cache.
+  /// Deduplicated repeats share one snippet execution but get their own
+  /// callbacks. Every response carries the engine-lifetime cache
+  /// counters and the pool width.
+  std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const override;
 
   /// Cache observability and control.
   CacheStats cache_stats() const override { return cache_.stats(); }
@@ -204,19 +165,16 @@ class SodaEngine : public SodaService {
   const Soda& soda() const { return *soda_; }
 
  private:
-  struct BatchItem;
+  struct Item;
 
-  /// Shared core of Search and SearchSession. `plan` == nullptr means a
-  /// plain (possibly constrained) search: probe the cache under
-  /// ConstrainedCacheKey, run the full pipeline on a miss. With a plan
-  /// slot the engine additionally resumes from a still-fresh matching
-  /// plan — skipping Step 1 (bindings changed) or Steps 1-4 (pins/bans
-  /// only) — and captures a fresh plan into the slot whenever it could
-  /// not reuse the held one. Outputs are byte-identical across all
-  /// paths.
-  Result<SearchOutput> SearchInternal(
-      const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const;
+  /// One miss, Steps 1-5 serially on the calling thread through
+  /// RunPipeline. A request with a plan slot resumes a still-fresh
+  /// matching plan — skipping Step 1 (bindings changed) or Steps 1-4
+  /// (pins/bans only) — and captures a fresh plan into item->captured
+  /// whenever it could not reuse the held one. Outputs are byte-identical
+  /// across all paths. `trace` parents the stage spans.
+  Result<SearchOutput> Translate(Item* item, const TraceContext& trace,
+                                 bool batched) const;
 
   /// Whether a captured plan may still be resumed: its valid flag has
   /// not been flipped by a freshness hook, and — when nobody watches it
@@ -228,29 +186,16 @@ class SodaEngine : public SodaService {
   /// flag. No-op without a manager.
   void RegisterPlan(const std::shared_ptr<TranslationPlan>& plan) const;
 
-  /// Shared translation core of the batch entry points: normalize +
-  /// dedup, probe the cache per unique key, then run Steps 1-2 per miss
-  /// and Steps 3-5 over the flattened (miss, interpretation) task list.
-  /// Outputs are translated but not executed (`execute` extends the flat
-  /// fan-out to snippet execution for the sync path); nothing is written
-  /// to the cache — callers insert when their snippets are materialized.
-  /// `trace` (the caller's batch-root span context, possibly inactive)
-  /// parents one span per unique miss plus the execute fan-out span.
-  std::vector<BatchItem> TranslateBatch(std::span<const std::string> queries,
-                                        bool execute,
-                                        const TraceContext& trace) const;
-
-  /// Expands per-unique BatchItems into per-input-index outputs, booking
-  /// dedup repeats as cache hits and stamping the lifetime counters.
+  /// Expands per-unique Items into per-request outputs, booking dedup
+  /// repeats as cache hits and stamping the lifetime counters.
   /// `mark_dedup_as_cached` sets from_cache on in-batch repeats — true
   /// for the sync path (repeats are materialized), false for async
-  /// (repeats are still-unexecuted translations).
-  /// `batch_start` stamps cache-served responses with this call's own
-  /// elapsed wall time (computed outputs already carry the batch wall).
-  std::vector<Result<SearchOutput>> ExpandBatch(
-      std::vector<BatchItem> items, size_t query_count,
-      bool mark_dedup_as_cached,
-      std::chrono::steady_clock::time_point batch_start) const;
+  /// (repeats are still-unexecuted translations). Every response served
+  /// from cache reports stages_skipped = 5 and zeroed stage timings, with
+  /// this call's own elapsed time since `start` as its wall time.
+  std::vector<Result<SearchOutput>> Expand(
+      std::vector<Item> items, size_t request_count, bool mark_dedup_as_cached,
+      std::chrono::steady_clock::time_point start) const;
 
   /// Shared data lock for the serve (empty when the engine has no
   /// database): every entry point takes one before probing the cache and
@@ -263,14 +208,6 @@ class SodaEngine : public SodaService {
   void CacheInsert(const std::string& key, const SearchOutput& output) const;
 
   std::unique_ptr<Soda> soda_;
-  // Stage sub-lists for session resume, built once in the constructor
-  // from soda_->stages() (which owns the stage objects):
-  //   rank_on_  — everything after lookup (bindings changed: re-rank)
-  //   pre_sql_  — per-interpretation stages before sql (plan capture)
-  //   sql_      — sql alone (pins/bans only: regenerate statements)
-  std::vector<const PipelineStage*> stages_rank_on_;
-  std::vector<const PipelineStage*> stages_pre_sql_;
-  std::vector<const PipelineStage*> stages_sql_;
   FreshnessManager* freshness_ = nullptr;
   mutable LruCache<std::string, SearchOutput> cache_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;

@@ -441,7 +441,7 @@ Status SqlStage::RunOne(const QueryContext& ctx,
 // Drivers
 // ---------------------------------------------------------------------------
 
-void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
+void RunInterpretationStages(std::span<const PipelineStage* const> stages,
                              const QueryContext& ctx,
                              InterpretationState* state) {
   for (const PipelineStage* stage : stages) {
@@ -475,7 +475,7 @@ void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
   }
 }
 
-Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
+Status RunQueryStages(std::span<const PipelineStage* const> stages,
                       QueryContext* ctx) {
   for (const PipelineStage* stage : stages) {
     if (stage->per_interpretation()) continue;
@@ -496,7 +496,7 @@ Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
   return Status::OK();
 }
 
-Status RunPipeline(const std::vector<const PipelineStage*>& stages,
+Status RunPipeline(std::span<const PipelineStage* const> stages,
                    QueryContext* ctx) {
   SODA_RETURN_NOT_OK(RunQueryStages(stages, ctx));
   for (InterpretationState& state : ctx->states) {

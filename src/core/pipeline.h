@@ -12,9 +12,9 @@
 //
 // Query-level stages run exactly once and may touch the whole context.
 // Per-interpretation stages only read the shared context and mutate the
-// single InterpretationState they are handed — that contract is what lets
-// the SodaEngine fan interpretations out across a thread pool while the
-// serial driver (Soda::Search) stays a thin loop over the same stage list.
+// single InterpretationState they are handed. One query runs serially on
+// one thread through RunPipeline — in Soda::Search and in every SodaEngine
+// pool task alike; the engine parallelizes across queries and snippets.
 // Results are merged deterministically in ranked order and deduplicated
 // with CanonicalKey, so the outcome is byte-identical at any thread count.
 
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -145,8 +146,8 @@ struct SessionConstraints {
 
 /// Per-step wall-clock timings in milliseconds (paper Section 5.2.2
 /// splits end-to-end time into lookup, rank, tables, SQL and grouping).
-/// Under the concurrent engine the per-interpretation entries are summed
-/// CPU time across workers; `wall_ms` carries the elapsed time.
+/// The per-interpretation entries are summed over the interpretations;
+/// `wall_ms` carries the elapsed time of the whole serve.
 struct StepTimings {
   double lookup_ms = 0.0;
   double rank_ms = 0.0;
@@ -373,21 +374,22 @@ class SqlStage : public PipelineStage {
 
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
 /// order, recording per-stage timings. Per-interpretation stages in the
-/// list are skipped. Both drivers start with this.
-Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
+/// list are skipped. RunPipeline starts with this.
+Status RunQueryStages(std::span<const PipelineStage* const> stages,
                       QueryContext* ctx);
 
 /// Runs the per-interpretation suffix of `stages` on one state, in order,
 /// accumulating stage times into the state. Query-level stages in the
-/// list are skipped. This is the unit of work the SodaEngine fans out.
-void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
+/// list are skipped.
+void RunInterpretationStages(std::span<const PipelineStage* const> stages,
                              const QueryContext& ctx,
                              InterpretationState* state);
 
-/// Serial driver: query-level stages once, per-interpretation stages over
-/// every state, with per-stage timings recorded into ctx->timings. This
-/// is exactly the paper's Figure 4 loop.
-Status RunPipeline(const std::vector<const PipelineStage*>& stages,
+/// Query-level stages once, per-interpretation stages over every state,
+/// with per-stage timings recorded into ctx->timings. This is exactly the
+/// paper's Figure 4 loop. `stages` may be any suffix of
+/// the Figure 4 list — a session resume runs only the stages it owes.
+Status RunPipeline(std::span<const PipelineStage* const> stages,
                    QueryContext* ctx);
 
 /// Merges the finished context into a SearchOutput: copies query-level

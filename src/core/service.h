@@ -6,18 +6,24 @@
 //   ShardedSodaEngine  (core/sharded_engine.h)  N replicas behind a router
 //
 // Everything above the engines — the interactive session layer
-// (core/session.h), the FreshnessManager (core/freshness.h), the demos
-// and the determinism tests — programs against SodaService, so serial
-// vs. sharded is a construction-time choice only: build whichever engine
-// fits the deployment and hand it around as a SodaService*.
+// (core/session.h), the FreshnessManager (core/freshness.h), the HTTP
+// front end, the demos and the determinism tests — programs against
+// SodaService, so serial vs. sharded is a construction-time choice only:
+// build whichever engine fits the deployment and hand it around as a
+// SodaService*.
 //
-// The interface also carries the session machinery shared by both
-// implementations: SessionConstraints travel with every Search (the
-// unconstrained overload is a non-virtual convenience), SearchSession
-// additionally captures/reuses a TranslationPlan — the session-cached
-// Steps 1-2 (+3-4) output that lets a Refine re-run only the stages a
-// constraint change can affect — and ConstrainedCacheKey defines how the
-// constraint fingerprint is folded into the result-cache key.
+// Searching has exactly one virtual: Submit, which takes a span of
+// SearchRequests (a query, its SessionConstraints and an optional
+// TranslationPlan slot, all referred to rather than copied) plus a
+// Submission (the entry point being served, and for the async entry the
+// snippet callback and barrier). Search, SearchSession, SearchAll,
+// SearchAsync and SearchAllAsync are non-virtual wrappers that build a
+// request span and call it. The interface also carries the session
+// machinery shared by both implementations: a TranslationPlan is the
+// session-cached Steps 1-2 (+3-4) output that lets a Refine re-run only
+// the stages a constraint change can affect, and ConstrainedCacheKey
+// defines how the constraint fingerprint is folded into the result-cache
+// key.
 
 #ifndef SODA_CORE_SERVICE_H_
 #define SODA_CORE_SERVICE_H_
@@ -167,45 +173,61 @@ struct ServiceHealth {
 std::string ConstrainedCacheKey(const std::string& normalized_key,
                                 const SessionConstraints& constraints);
 
+/// The entry point a submission serves. It names the engine counter and
+/// the root span the submission books ("engine.search",
+/// "engine.search_all", "engine.search_all_async"), and the async entry
+/// streams snippets instead of executing them before returning.
+enum class SearchEntry { kSearch, kSearchAll, kSearchAllAsync };
+
+/// The counter and root-span name of `entry`.
+const char* SearchEntryName(SearchEntry entry);
+
+/// One query of a submission. Refers to, and does not copy, its parts:
+/// the pointees must outlive the Submit call.
+struct SearchRequest {
+  const std::string* query = nullptr;
+  /// nullptr = unconstrained (the classic cache entries).
+  const SessionConstraints* constraints = nullptr;
+  /// Session plan slot (nullptr = plain search). When set, the engine
+  /// resumes from the held plan if it still matches, and otherwise
+  /// captures a fresh plan into the slot — see SearchSession.
+  std::shared_ptr<TranslationPlan>* plan = nullptr;
+
+  /// The request's constraints; the empty set when unconstrained.
+  const SessionConstraints& Constraints() const;
+};
+
+/// How a span of requests is served.
+struct Submission {
+  SearchEntry entry = SearchEntry::kSearchAll;
+  /// kSearchAllAsync only: delivered once per (request index, result
+  /// index) pair as snippets land; `barrier` is the completion point.
+  SnippetCallback on_snippet;
+  SnippetBarrier* barrier = nullptr;
+};
+
 class SodaService {
  public:
   virtual ~SodaService() = default;
 
-  /// Unconstrained search — the classic entry point, now a convenience
-  /// over the constrained overload.
-  Result<SearchOutput> Search(const std::string& query) const {
-    return Search(query, SessionConstraints{});
-  }
+  /// The one search virtual. Serves every request and returns one Result
+  /// per request, in request order. Requests whose cache keys
+  /// (ConstrainedCacheKey) coincide are deduplicated unless they carry a
+  /// plan slot; a failing request errors only its own slot. Outputs are
+  /// byte-identical to the serial Soda::Search reference at any thread
+  /// and shard count.
+  virtual std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const = 0;
 
-  /// Brace-list convenience: service.SearchAll({"a", "b"}). One shared
-  /// helper — implementations only provide the span overload.
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::initializer_list<std::string> queries) const {
-    return SearchAll(
-        std::span<const std::string>(queries.begin(), queries.size()));
-  }
+  /// Unconstrained search — the classic entry point.
+  Result<SearchOutput> Search(const std::string& query) const;
 
   /// Cached, concurrent search under `constraints` (empty = classic
   /// unconstrained behavior, same cache entries). Constrained answers
   /// are cached under ConstrainedCacheKey.
-  virtual Result<SearchOutput> Search(
-      const std::string& query, const SessionConstraints& constraints) const = 0;
-
-  /// Batched search: one dashboard refresh in, per-query outputs out, in
-  /// input order, with in-batch dedup of identical normalized queries.
-  virtual std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const = 0;
-
-  /// Async search: translated, ranked SQL returns immediately; snippets
-  /// stream through `on_snippet`; `barrier` is the completion point.
-  virtual Result<SearchOutput> SearchAsync(const std::string& query,
-                                           SnippetCallback on_snippet,
-                                           SnippetBarrier* barrier) const = 0;
-
-  /// Batched async search.
-  virtual std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const = 0;
+  Result<SearchOutput> Search(const std::string& query,
+                              const SessionConstraints& constraints) const;
 
   /// Session entry point: as Search(query, constraints), but additionally
   /// maintains `*plan` (required non-null; *plan may be null). When the
@@ -218,9 +240,32 @@ class SodaService {
   /// query routes by its normalized text only (the fingerprint is NOT
   /// hashed), so every constrained variant of one question shares a
   /// shard: session affinity.
-  virtual Result<SearchOutput> SearchSession(
+  Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const = 0;
+      std::shared_ptr<TranslationPlan>* plan) const;
+
+  /// Batched search: one dashboard refresh in, per-query outputs out, in
+  /// input order, with in-batch dedup of identical normalized queries.
+  std::vector<Result<SearchOutput>> SearchAll(
+      std::span<const std::string> queries) const;
+
+  /// Brace-list convenience: service.SearchAll({"a", "b"}).
+  std::vector<Result<SearchOutput>> SearchAll(
+      std::initializer_list<std::string> queries) const {
+    return SearchAll(
+        std::span<const std::string>(queries.begin(), queries.size()));
+  }
+
+  /// Async search: translated, ranked SQL returns immediately; snippets
+  /// stream through `on_snippet`; `barrier` is the completion point.
+  Result<SearchOutput> SearchAsync(const std::string& query,
+                                   SnippetCallback on_snippet,
+                                   SnippetBarrier* barrier) const;
+
+  /// Batched async search.
+  std::vector<Result<SearchOutput>> SearchAllAsync(
+      std::span<const std::string> queries, SnippetCallback on_snippet,
+      SnippetBarrier* barrier) const;
 
   /// Cache observability and control (fleet-level sums on the router).
   virtual CacheStats cache_stats() const = 0;

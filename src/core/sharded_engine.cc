@@ -35,48 +35,17 @@ void SleepMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-// One dispatch attempt of one sub-batch on one shard, shared between
-// the pool task that executes it and the batch thread that waits on it.
-// The batch thread may abandon a stalled attempt (the task keeps
-// running to completion against this struct, whose shared_ptr — and the
-// query vector's — outlive the batch), so `started`/`done`/`abandoned`
-// make the handoff explicit.
-struct SubBatchAttempt {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  bool done = false;
-  bool abandoned = false;
-  Status failure;  // non-OK: the whole attempt failed (throw/failpoint)
-  std::vector<Result<SearchOutput>> outputs;
-};
+// A shard's snippet callback: maps the sub-batch's request positions back
+// to the submission's before calling the caller's callback.
+struct RemappedCallback {
+  std::vector<size_t> to_global;
+  SnippetCallback callback;
 
-enum class WaitOutcome {
-  kDone,          // attempt finished (failure says how)
-  kQueueTimeout,  // never started within the deadline: pool congestion
-  kStallTimeout,  // started but did not finish: the shard stalled
+  void operator()(size_t query_index, size_t result_index,
+                  const SodaResult& result) const {
+    callback(to_global[query_index], result_index, result);
+  }
 };
-
-// Blocks until the attempt completes; with a positive deadline (sync
-// dispatch only) gives up after `deadline_ms`, marking the attempt
-// abandoned so a not-yet-started task skips execution entirely.
-WaitOutcome WaitForAttempt(SubBatchAttempt& attempt, double deadline_ms) {
-  std::unique_lock<std::mutex> lock(attempt.mu);
-  if (deadline_ms <= 0.0) {
-    attempt.cv.wait(lock, [&] { return attempt.done; });
-    return WaitOutcome::kDone;
-  }
-  auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(deadline_ms));
-  if (attempt.cv.wait_until(lock, deadline, [&] { return attempt.done; })) {
-    return WaitOutcome::kDone;
-  }
-  attempt.abandoned = true;
-  return attempt.started ? WaitOutcome::kStallTimeout
-                         : WaitOutcome::kQueueTimeout;
-}
 
 }  // namespace
 
@@ -253,130 +222,199 @@ ServiceHealth ShardedSodaEngine::health() const {
 }
 
 // ---------------------------------------------------------------------------
-// Routed entry points
+// The dispatch loop
 // ---------------------------------------------------------------------------
 
-Result<SearchOutput> ShardedSodaEngine::Search(
-    const std::string& query, const SessionConstraints& constraints) const {
-  // Route by the normalized query alone: constrained variants of one
-  // question share its shard (and therefore its plans and cache locality).
-  router_sink_->IncrementCounter("router.shard_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
-    return engine.Search(query, constraints);
-  });
-}
+// One home shard's share of a submission, owned by the router: an attempt
+// the caller abandons past the dispatch deadline keeps running against
+// this copy, never against the caller's frame.
+struct ShardedSodaEngine::SubBatch {
+  size_t home = 0;
+  std::vector<size_t> indices;  // request positions in the submission
+  std::vector<std::string> queries;
+  std::vector<SessionConstraints> constraints;
+  std::vector<bool> sessions;  // the request carries a plan slot
+  std::vector<std::shared_ptr<TranslationPlan>> plans;  // held at submit
+  Submission submission;  // callback remapped to submission positions
+};
 
-Result<SearchOutput> ShardedSodaEngine::SearchSession(
-    const std::string& query, const SessionConstraints& constraints,
-    std::shared_ptr<TranslationPlan>* plan) const {
-  router_sink_->IncrementCounter("router.shard_queries", 1);
-  router_sink_->IncrementCounter("router.session_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
-    return engine.SearchSession(query, constraints, plan);
-  });
-}
+// One dispatch attempt of one sub-batch on one shard, shared between the
+// code that executes it and the caller that waits on it. The caller may
+// abandon a stalled pool attempt (the task keeps running to completion
+// against this struct, whose shared_ptr — and the sub-batch's — outlive
+// the call), so `started`/`done`/`abandoned` make the handoff explicit.
+// The attempt writes only its own plan slots; the waiting caller moves
+// them into the flight once the attempt succeeded.
+struct ShardedSodaEngine::Attempt {
+  enum class Outcome {
+    kDone,          // attempt finished (failure says how)
+    kQueueTimeout,  // never started within the deadline: pool congestion
+    kStallTimeout,  // started but did not finish: the shard stalled
+  };
 
-Result<SearchOutput> ShardedSodaEngine::SearchAsync(
-    const std::string& query, SnippetCallback on_snippet,
-    SnippetBarrier* barrier) const {
-  router_sink_->IncrementCounter("router.shard_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
-    return engine.SearchAsync(query, on_snippet, barrier);
-  });
-}
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool done = false;
+  bool abandoned = false;
+  Status failure;  // non-OK: the whole attempt failed (throw/failpoint)
+  std::vector<Result<SearchOutput>> outputs;
+  std::vector<std::shared_ptr<TranslationPlan>> plans;
 
-Result<SearchOutput> ShardedSodaEngine::RouteSingle(
-    size_t home,
-    const std::function<Result<SearchOutput>(const SodaEngine&)>& call) const {
-  // The routing span joins whatever trace the caller (usually the HTTP
-  // server) installed on this thread; the engine call below runs under
-  // it, so engine.search parents here and inherits the shard attr.
-  Span route_span(CurrentTraceContext(), "router.route");
-  if (route_span.active()) route_span.SetAttr("home", static_cast<int64_t>(home));
-  Status last = Status::Unavailable("no dispatch attempted");
-  size_t start = home;
-  for (size_t attempt = 0; attempt <= policy_.retry_limit; ++attempt) {
-    if (attempt > 0) {
-      router_sink_->IncrementCounter("router.retries", 1);
-      route_span.AddEvent("retry", "attempt " + std::to_string(attempt));
-      SleepMs(std::min(policy_.retry_backoff_ms *
-                           static_cast<double>(uint64_t{1} << (attempt - 1)),
-                       policy_.backoff_max_ms));
+  // Blocks until the attempt completes; with a positive deadline gives
+  // up after `deadline_ms`, marking the attempt abandoned so a
+  // not-yet-started task skips execution entirely.
+  Outcome Wait(double deadline_ms) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (deadline_ms <= 0.0) {
+      cv.wait(lock, [&] { return done; });
+      return Outcome::kDone;
     }
-    size_t target = AcquireTarget(start);
-    if (target == kNoShard) {
-      last = Status::Unavailable("every shard replica is quarantined");
-      route_span.AddEvent("no_replica", "every shard quarantined");
-      continue;
+    auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(deadline_ms));
+    if (cv.wait_until(lock, deadline, [&] { return done; })) {
+      return Outcome::kDone;
     }
-    if (target != home) {
-      router_sink_->IncrementCounter("router.rerouted_queries", 1);
-      route_span.AddEvent("reroute", "shard " + std::to_string(target));
-    }
-    try {
-      Status armed =
-          SODA_FAILPOINT_STATUS("shard.dispatch", std::to_string(target));
-      if (armed.ok()) {
-        if (route_span.active()) {
-          route_span.SetAttr("shard", static_cast<int64_t>(target));
-        }
-        ScopedTraceContext scoped(route_span.context());
-        Result<SearchOutput> output = call(*shards_[target]);
-        ReportShardSuccess(target);
-        return output;
-      }
-      last = std::move(armed);
-    } catch (const std::exception& e) {
-      last = Status::Unavailable(std::string("shard dispatch threw: ") +
-                                 e.what());
-    } catch (...) {
-      last = Status::Unavailable("shard dispatch threw");
-    }
-    route_span.AddEvent("shard_failure",
-                        "shard " + std::to_string(target) + ": " +
-                            std::string(last.message()));
-    if (ReportShardFailure(target)) {
-      route_span.AddEvent("quarantine", "shard " + std::to_string(target));
-    }
-    start = target + 1;
+    abandoned = true;
+    return started ? Outcome::kStallTimeout : Outcome::kQueueTimeout;
   }
-  route_span.SetError("query failed on every attempted replica");
-  return Status::Unavailable("query failed on every attempted replica: " +
-                             last.ToString());
+};
+
+// One sub-batch in flight: its routing span (retry, re-route,
+// stall-abandon and quarantine decisions land here as events), its
+// current target and attempt, and — after success — its plan slots.
+struct ShardedSodaEngine::Flight {
+  std::shared_ptr<const SubBatch> sub;
+  Span route_span;
+  size_t target = 0;
+  std::shared_ptr<Attempt> attempt;  // null: no replica was admitted
+  std::vector<std::shared_ptr<TranslationPlan>> plans;
+};
+
+std::vector<Result<SearchOutput>> ShardedSodaEngine::Submit(
+    std::span<const SearchRequest> requests,
+    const Submission& submission) const {
+  if (requests.empty()) return {};
+
+  // Split by the normalized query alone: the constraints are never
+  // hashed, so every constrained variant of one question — a session's
+  // whole life — lands on one shard (session affinity). Sub-batches keep
+  // input order, so a shard sees its requests exactly as a single engine
+  // would have (dedup keeps first-occurrence semantics).
+  std::vector<std::shared_ptr<SubBatch>> subs(shards_.size());
+  size_t sessions = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const SearchRequest& request = requests[i];
+    size_t home =
+        ShardOfKey(NormalizedQueryKey(*request.query), shards_.size());
+    if (subs[home] == nullptr) {
+      subs[home] = std::make_shared<SubBatch>();
+      subs[home]->home = home;
+    }
+    SubBatch& sub = *subs[home];
+    sub.indices.push_back(i);
+    sub.queries.push_back(*request.query);
+    sub.constraints.push_back(request.Constraints());
+    sub.sessions.push_back(request.plan != nullptr);
+    sub.plans.push_back(request.plan != nullptr ? *request.plan : nullptr);
+    if (request.plan != nullptr) ++sessions;
+  }
+  const bool batched = submission.entry != SearchEntry::kSearch;
+  router_sink_->IncrementCounter("router.shard_queries", requests.size());
+  if (sessions > 0) {
+    router_sink_->IncrementCounter("router.session_queries", sessions);
+  }
+  if (batched) router_sink_->IncrementCounter("router.batches", 1);
+
+  // With one shard or one request there is nothing to overlap, so the
+  // attempt runs inline on the caller thread — concurrent callers of a
+  // 1-shard router never queue behind one dispatch thread. Otherwise
+  // every occupied home's first attempt launches on the dispatch pool
+  // before any is joined, so healthy sub-batches run concurrently while
+  // a failing one walks its retry chain. For an async submission this
+  // covers the translation phase only — each shard registers its
+  // callbacks on the barrier before its Submit returns, so by the time
+  // this returns the barrier's expectation is complete and snippets keep
+  // streaming from every shard's pool.
+  const bool run_inline = shards_.size() == 1 || requests.size() == 1;
+  std::vector<Flight> flights;
+  flights.reserve(shards_.size());
+  for (std::shared_ptr<SubBatch>& sub : subs) {
+    if (sub == nullptr) continue;
+    if (batched) {
+      router_sink_->Observe("router.shard_batch_size",
+                            static_cast<double>(sub->queries.size()));
+    }
+    sub->submission.entry = submission.entry;
+    sub->submission.barrier = submission.barrier;
+    if (submission.on_snippet) {
+      // By value: the callback outlives this call — snippets stream from
+      // the shard's pool long after the sub-batch is merged.
+      sub->submission.on_snippet =
+          RemappedCallback{sub->indices, submission.on_snippet};
+    }
+    Flight flight;
+    flight.sub = sub;
+    // Joins whatever trace the caller (usually the HTTP server)
+    // installed on this thread; the dispatch spans parent here.
+    flight.route_span = Span(CurrentTraceContext(), "router.route");
+    if (flight.route_span.active()) {
+      flight.route_span.SetAttr("home", static_cast<int64_t>(sub->home));
+      flight.route_span.SetAttr("queries",
+                                static_cast<int64_t>(sub->queries.size()));
+    }
+    size_t target = AcquireTarget(sub->home);
+    if (target != kNoShard) {
+      flight.target = target;
+      if (target != sub->home) {
+        router_sink_->IncrementCounter("router.rerouted_queries",
+                                       sub->queries.size());
+        flight.route_span.AddEvent("reroute",
+                                   "shard " + std::to_string(target));
+      }
+      flight.attempt = LaunchAttempt(target, sub,
+                                     flight.route_span.context(), run_inline);
+    }
+    flights.push_back(std::move(flight));
+  }
+
+  // Re-merge into input order; plan slots are written here, on the
+  // caller thread, and only from an attempt the caller waited for.
+  std::vector<Result<SearchOutput>> outputs(
+      requests.size(),
+      Result<SearchOutput>(Status::Internal("unrouted request")));
+  for (Flight& flight : flights) {
+    std::vector<Result<SearchOutput>> sub_outputs =
+        RunSubBatchWithFailover(&flight, run_inline);
+    const SubBatch& sub = *flight.sub;
+    for (size_t k = 0; k < sub.indices.size(); ++k) {
+      outputs[sub.indices[k]] = std::move(sub_outputs[k]);
+      if (sub.sessions[k] && !flight.plans.empty()) {
+        *requests[sub.indices[k]].plan = std::move(flight.plans[k]);
+      }
+    }
+  }
+  return outputs;
 }
 
-std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAll(
-    std::span<const std::string> queries) const {
-  return DispatchBatch(queries, /*async=*/false, nullptr, nullptr);
-}
-
-std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAllAsync(
-    std::span<const std::string> queries, SnippetCallback on_snippet,
-    SnippetBarrier* barrier) const {
-  return DispatchBatch(queries, /*async=*/true, std::move(on_snippet),
-                       barrier);
-}
-
-std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
-    size_t target, std::shared_ptr<const std::vector<std::string>> queries,
-    bool async, SnippetCallback on_snippet, SnippetBarrier* barrier) const {
-  auto attempt = std::make_shared<SubBatchAttempt>();
+std::shared_ptr<ShardedSodaEngine::Attempt> ShardedSodaEngine::LaunchAttempt(
+    size_t target, std::shared_ptr<const SubBatch> sub,
+    const TraceContext& trace, bool run_inline) const {
+  auto attempt = std::make_shared<Attempt>();
+  attempt->plans = sub->plans;
   // Everything the task touches is captured by value / shared_ptr: if
-  // the batch abandons a stalled attempt and returns, the task still
-  // has live queries and a live attempt struct to finish against.
+  // the caller abandons a stalled attempt and returns, the task still
+  // has a live sub-batch and a live attempt struct to finish against.
   // The trace context crosses onto the dispatch pool by value and is
   // re-installed inside the task, so the shard engine's spans parent
-  // under the batch's trace even though they run on a pool thread.
-  TraceContext trace = CurrentTraceContext();
-  dispatch_pool_.Submit([this, attempt, queries, target, async, trace,
-                         callback = std::move(on_snippet), barrier] {
+  // under the route span even though they run on a pool thread.
+  auto run = [this, attempt, sub, target, trace] {
     {
       std::lock_guard<std::mutex> lock(attempt->mu);
       if (attempt->abandoned) {
-        // The batch gave up before we started: skip the work entirely.
+        // The caller gave up before we started: skip the work entirely.
         attempt->done = true;
         attempt->cv.notify_all();
         return;
@@ -386,7 +424,8 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
     Span dispatch_span(trace, "router.dispatch");
     if (dispatch_span.active()) {
       dispatch_span.SetAttr("shard", static_cast<int64_t>(target));
-      dispatch_span.SetAttr("queries", static_cast<int64_t>(queries->size()));
+      dispatch_span.SetAttr("queries",
+                            static_cast<int64_t>(sub->queries.size()));
     }
     ScopedTraceContext scoped(dispatch_span.context());
     Status failure;
@@ -397,10 +436,13 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
       if (!armed.ok()) {
         failure = std::move(armed);
       } else {
-        std::span<const std::string> sub(*queries);
-        outputs = async
-                      ? shards_[target]->SearchAllAsync(sub, callback, barrier)
-                      : shards_[target]->SearchAll(sub);
+        std::vector<SearchRequest> requests(sub->queries.size());
+        for (size_t k = 0; k < requests.size(); ++k) {
+          requests[k].query = &sub->queries[k];
+          requests[k].constraints = &sub->constraints[k];
+          if (sub->sessions[k]) requests[k].plan = &attempt->plans[k];
+        }
+        outputs = shards_[target]->Submit(requests, sub->submission);
       }
     } catch (const std::exception& e) {
       failure =
@@ -410,9 +452,9 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
     }
     if (!failure.ok()) dispatch_span.SetStatus(failure.message());
     // End (and append) the span before publishing completion: the
-    // waiting batch thread may finish the whole trace the moment done
-    // flips, and a span recorded after that is an orphan the render
-    // pass cannot attach.
+    // waiting caller may finish the whole trace the moment done flips,
+    // and a span recorded after that is an orphan the render pass
+    // cannot attach.
     dispatch_span.End();
     {
       std::lock_guard<std::mutex> lock(attempt->mu);
@@ -421,66 +463,65 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
       attempt->done = true;
     }
     attempt->cv.notify_all();
-  });
+  };
+  if (run_inline) {
+    run();
+  } else {
+    dispatch_pool_.Submit(std::move(run));
+  }
   return attempt;
 }
 
 std::vector<Result<SearchOutput>> ShardedSodaEngine::RunSubBatchWithFailover(
-    size_t home, std::shared_ptr<const std::vector<std::string>> queries,
-    bool async, SnippetCallback on_snippet, SnippetBarrier* barrier,
-    size_t first_target, std::shared_ptr<void> first_attempt) const {
-  // The stall deadline applies to sync dispatch only: an async sub-batch
-  // registers its snippet callbacks on the caller's barrier, and an
-  // abandoned half-registered attempt could deliver duplicates.
+    Flight* flight, bool run_inline) const {
+  const SubBatch& sub = *flight->sub;
+  // The stall deadline binds sync pool attempts only: an inline attempt
+  // has finished before it is joined, and an async sub-batch registers
+  // its snippet callbacks on the caller's barrier — an abandoned
+  // half-registered attempt could deliver duplicates.
+  const bool async = sub.submission.entry == SearchEntry::kSearchAllAsync;
   double deadline_ms = async ? 0.0 : policy_.dispatch_deadline_ms;
-  // Joins the batch's trace on the caller thread; retry, re-route,
-  // stall-abandon and quarantine decisions land here as span events.
-  Span sub_span(CurrentTraceContext(), "router.subbatch");
-  if (sub_span.active()) {
-    sub_span.SetAttr("home", static_cast<int64_t>(home));
-    sub_span.SetAttr("queries", static_cast<int64_t>(queries->size()));
-  }
+  Span& span = flight->route_span;
   Status last = Status::Unavailable("no dispatch attempted");
-  size_t target = first_target;
-  auto attempt = std::static_pointer_cast<SubBatchAttempt>(first_attempt);
+  size_t target = flight->target;
+  std::shared_ptr<Attempt> attempt = std::move(flight->attempt);
   for (size_t attempts_used = 0;; ++attempts_used) {
     if (attempt != nullptr) {
-      WaitOutcome outcome = WaitForAttempt(*attempt, deadline_ms);
-      switch (outcome) {
-        case WaitOutcome::kDone: {
+      switch (attempt->Wait(deadline_ms)) {
+        case Attempt::Outcome::kDone: {
           Status failure;
           std::vector<Result<SearchOutput>> outputs;
           {
             std::lock_guard<std::mutex> lock(attempt->mu);
             failure = std::move(attempt->failure);
             outputs = std::move(attempt->outputs);
+            if (failure.ok()) flight->plans = std::move(attempt->plans);
           }
           if (failure.ok()) {
             ReportShardSuccess(target);
             return outputs;
           }
           last = std::move(failure);
-          sub_span.AddEvent("shard_failure",
-                            "shard " + std::to_string(target) + ": " +
-                                std::string(last.message()));
+          span.AddEvent("shard_failure", "shard " + std::to_string(target) +
+                                             ": " +
+                                             std::string(last.message()));
           if (ReportShardFailure(target)) {
-            sub_span.AddEvent("quarantine", "shard " + std::to_string(target));
+            span.AddEvent("quarantine", "shard " + std::to_string(target));
           }
           target = target + 1;
           break;
         }
-        case WaitOutcome::kStallTimeout:
+        case Attempt::Outcome::kStallTimeout:
           last = Status::Unavailable(
               "shard " + std::to_string(target) +
               " stalled past the sub-batch deadline; abandoned");
-          sub_span.AddEvent("stall_abandoned",
-                            "shard " + std::to_string(target));
+          span.AddEvent("stall_abandoned", "shard " + std::to_string(target));
           if (ReportShardFailure(target)) {
-            sub_span.AddEvent("quarantine", "shard " + std::to_string(target));
+            span.AddEvent("quarantine", "shard " + std::to_string(target));
           }
           target = target + 1;
           break;
-        case WaitOutcome::kQueueTimeout:
+        case Attempt::Outcome::kQueueTimeout:
           // The attempt never ran — the dispatch queue is congested.
           // Not the shard's fault: retry without charging its breaker.
           last = Status::Unavailable(
@@ -492,173 +533,31 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::RunSubBatchWithFailover(
     }
     if (attempts_used >= policy_.retry_limit) break;
     router_sink_->IncrementCounter("router.retries", 1);
-    sub_span.AddEvent("retry", "attempt " + std::to_string(attempts_used + 1));
+    span.AddEvent("retry", "attempt " + std::to_string(attempts_used + 1));
     SleepMs(std::min(policy_.retry_backoff_ms *
                          static_cast<double>(uint64_t{1} << attempts_used),
                      policy_.backoff_max_ms));
     size_t next = AcquireTarget(target);
     if (next == kNoShard) {
-      sub_span.AddEvent("no_replica", "every shard quarantined");
+      span.AddEvent("no_replica", "every shard quarantined");
       attempt = nullptr;
       continue;
     }
     target = next;
-    if (target != home) {
+    if (target != sub.home) {
       router_sink_->IncrementCounter("router.rerouted_queries",
-                                     queries->size());
-      sub_span.AddEvent("reroute", "shard " + std::to_string(target));
+                                     sub.queries.size());
+      span.AddEvent("reroute", "shard " + std::to_string(target));
     }
-    // Re-install the sub-batch span as the pool task's parent: the
-    // retried dispatch span hangs off this span, not the batch root.
-    ScopedTraceContext scoped(sub_span.context());
-    attempt = std::static_pointer_cast<SubBatchAttempt>(
-        LaunchAttempt(target, queries, async, on_snippet, barrier));
+    attempt = LaunchAttempt(target, flight->sub, span.context(), run_inline);
   }
-  sub_span.SetError("sub-batch failed after every attempt");
+  span.SetError("sub-batch failed after every attempt");
   return std::vector<Result<SearchOutput>>(
-      queries->size(),
+      sub.queries.size(),
       Result<SearchOutput>(Status::Unavailable(
-          "sub-batch for shard " + std::to_string(home) +
+          "sub-batch for shard " + std::to_string(sub.home) +
           " failed after " + std::to_string(policy_.retry_limit + 1) +
           " attempts: " + last.ToString())));
-}
-
-std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
-    std::span<const std::string> queries, bool async,
-    SnippetCallback on_snippet, SnippetBarrier* barrier) const {
-  if (queries.empty()) return {};
-
-  // Single shard (the config default): no routing to do — delegate on
-  // the caller's span and skip the copy/merge machinery. Callback
-  // indices are already global. Failure containment still applies: a
-  // throwing or failpoint-armed dispatch becomes per-query errors and
-  // charges the (only) shard's breaker, and a quarantined sole shard
-  // fails fast until its backoff elapses.
-  if (shards_.size() == 1) {
-    router_sink_->IncrementCounter("router.batches", 1);
-    router_sink_->IncrementCounter("router.shard_queries", queries.size());
-    router_sink_->Observe("router.shard_batch_size",
-                          static_cast<double>(queries.size()));
-    Status last = Status::Unavailable("no dispatch attempted");
-    for (size_t attempt = 0; attempt <= policy_.retry_limit; ++attempt) {
-      if (attempt > 0) {
-        router_sink_->IncrementCounter("router.retries", 1);
-        SleepMs(std::min(policy_.retry_backoff_ms *
-                             static_cast<double>(uint64_t{1} << (attempt - 1)),
-                         policy_.backoff_max_ms));
-      }
-      if (AcquireTarget(0) == kNoShard) {
-        last = Status::Unavailable("the only shard replica is quarantined");
-        continue;
-      }
-      try {
-        Status armed = SODA_FAILPOINT_STATUS("shard.dispatch", "0");
-        if (armed.ok()) {
-          auto outputs = async ? shards_[0]->SearchAllAsync(
-                                     queries, std::move(on_snippet), barrier)
-                               : shards_[0]->SearchAll(queries);
-          ReportShardSuccess(0);
-          return outputs;
-        }
-        last = std::move(armed);
-      } catch (const std::exception& e) {
-        last = Status::Unavailable(std::string("shard dispatch threw: ") +
-                                   e.what());
-      } catch (...) {
-        last = Status::Unavailable("shard dispatch threw");
-      }
-      ReportShardFailure(0);
-    }
-    return std::vector<Result<SearchOutput>>(
-        queries.size(),
-        Result<SearchOutput>(Status::Unavailable(
-            "batch failed after " + std::to_string(policy_.retry_limit + 1) +
-            " attempts: " + last.ToString())));
-  }
-
-  // Split the batch by routing key. Sub-batches keep input order, so a
-  // shard sees its queries exactly as a single engine would have (dedup
-  // keeps first-occurrence semantics).
-  std::vector<std::vector<std::string>> sub_queries(shards_.size());
-  std::vector<std::vector<size_t>> sub_indices(shards_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    size_t shard = ShardOfKey(NormalizedQueryKey(queries[i]), shards_.size());
-    sub_queries[shard].push_back(queries[i]);
-    sub_indices[shard].push_back(i);
-  }
-
-  router_sink_->IncrementCounter("router.batches", 1);
-  router_sink_->IncrementCounter("router.shard_queries", queries.size());
-  std::vector<size_t> occupied;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub_queries[s].empty()) continue;
-    occupied.push_back(s);
-    router_sink_->Observe("router.shard_batch_size",
-                          static_cast<double>(sub_queries[s].size()));
-  }
-
-  // Launch every occupied home's first attempt before joining any of
-  // them, so healthy sub-batches run concurrently on the dispatch pool
-  // while a failing one walks its retry chain. Shards are shared-nothing
-  // (own pool, own cache, own sink), so this is pure fan-out. For the
-  // async path this covers the translation phase only — each shard
-  // registers its callbacks on `barrier` before its SearchAll returns,
-  // so by the time we return the barrier's expectation is complete and
-  // snippets keep streaming from every shard's pool.
-  struct Flight {
-    size_t home = 0;
-    size_t target = 0;
-    std::shared_ptr<const std::vector<std::string>> queries;
-    SnippetCallback callback;
-    std::shared_ptr<void> attempt;
-  };
-  std::vector<Flight> flights;
-  flights.reserve(occupied.size());
-  for (size_t s : occupied) {
-    Flight flight;
-    flight.home = s;
-    flight.queries = std::make_shared<const std::vector<std::string>>(
-        std::move(sub_queries[s]));
-    if (async && on_snippet) {
-      // By value: the callback outlives this call — snippets stream
-      // from the shard's pool long after the sub-batch vectors die.
-      flight.callback = [to_global = sub_indices[s], callback = on_snippet](
-                            size_t query_index, size_t result_index,
-                            const SodaResult& result) {
-        callback(to_global[query_index], result_index, result);
-      };
-    }
-    size_t target = AcquireTarget(s);
-    if (target == kNoShard) {
-      flight.attempt = nullptr;
-    } else {
-      flight.target = target;
-      if (target != s) {
-        router_sink_->IncrementCounter("router.rerouted_queries",
-                                       flight.queries->size());
-      }
-      flight.attempt = LaunchAttempt(target, flight.queries, async,
-                                     flight.callback, barrier);
-    }
-    flights.push_back(std::move(flight));
-  }
-
-  std::vector<std::vector<Result<SearchOutput>>> sub_outputs(shards_.size());
-  for (Flight& flight : flights) {
-    sub_outputs[flight.home] = RunSubBatchWithFailover(
-        flight.home, flight.queries, async, flight.callback, barrier,
-        flight.target, std::move(flight.attempt));
-  }
-
-  // Re-merge into input order.
-  std::vector<Result<SearchOutput>> outputs(
-      queries.size(), Result<SearchOutput>(Status::Internal("unrouted query")));
-  for (size_t s : occupied) {
-    for (size_t k = 0; k < sub_indices[s].size(); ++k) {
-      outputs[sub_indices[s][k]] = std::move(sub_outputs[s][k]);
-    }
-  }
-  return outputs;
 }
 
 // ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@
 //      every constrained variant of one question lands on one shard
 //      (session affinity: a Refine always finds the shard whose cache
 //      and plans know the question);
-//   2. batched admission — SearchAll splits a batch into per-shard
-//      sub-batches, runs them concurrently on a persistent router-side
-//      dispatch pool, and re-merges the per-query Results into input
-//      order. Each shard still applies its own in-batch dedup and cache,
-//      so the ranked output is byte-identical to a single engine at any
-//      shard count × thread count;
+//   2. one dispatch loop — Submit splits every submission (a dashboard
+//      batch, a single Search, a session Refine) into per-shard
+//      sub-batches, runs each through the same launch/retry path, and
+//      re-merges the per-request Results into input order. Each shard
+//      still applies its own in-batch dedup and cache, so the ranked
+//      output is byte-identical to a single engine at any shard count ×
+//      thread count. With one shard, or one request, the attempt runs
+//      inline on the caller thread; otherwise the occupied shards run
+//      concurrently on a persistent router-side dispatch pool;
 //   3. failure domains — every shard is wrapped in a small circuit
 //      breaker (closed → quarantined → probing). A sub-batch whose
 //      dispatch fails (throws, errors through the "shard.dispatch"
@@ -95,53 +98,25 @@ class ShardedSodaEngine : public SodaService {
   /// from the first replica's config — all shards share one config.
   explicit ShardedSodaEngine(std::vector<std::unique_ptr<SodaEngine>> shards);
 
-  using SodaService::Search;
-  using SodaService::SearchAll;
-
-  /// Routes the query to its shard and delegates. Same contract as
-  /// SodaEngine::Search; repeats of one query always land on the same
-  /// shard (constraints excluded from the routing key), so its cache
-  /// behaves exactly like a single engine's. When the home shard is
-  /// quarantined the query fails over to a healthy replica.
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override;
-
-  /// Session search with affinity: the plan's question routes by its
-  /// normalized text, so every Refine resumes on the shard that captured
-  /// the plan. Books router.session_queries.
-  Result<SearchOutput> SearchSession(
-      const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override;
-
-  /// Batched admission point: splits the batch by shard, runs the
-  /// occupied shards' SearchAll concurrently, and merges the per-query
-  /// outputs back into input order. Byte-identical ranked results to a
-  /// single engine; in-batch dedup still applies (identical normalized
-  /// queries route identically, so they meet in one sub-batch). A
-  /// sub-batch whose shard fails or stalls past the configured deadline
-  /// is re-dispatched to a healthy replica; only when every attempt is
-  /// exhausted do its queries come back as per-query Unavailable errors
-  /// — the rest of the batch is unaffected.
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const override;
-
-  /// Async admission: per-shard SearchAllAsync with the callback's
-  /// query_index remapped to the caller's batch position. All shards'
-  /// translations complete before this returns (so `barrier` has its
-  /// full expectation registered); snippets stream afterwards from every
-  /// shard's pool concurrently. Failover applies to dispatch failures
-  /// that happen before a shard registered its snippet callbacks; the
-  /// stall deadline is sync-only (an async sub-batch cannot be abandoned
-  /// once its callbacks are expected on the barrier).
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override;
-
-  /// Single-query async, routed to its shard (with failover).
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override;
+  /// Splits the submission by shard, runs each sub-batch on its shard's
+  /// Submit (plan slots included) with failover, and merges the outputs
+  /// back into input order. Byte-identical ranked results to a single
+  /// engine; in-batch dedup still applies (identical normalized queries
+  /// route identically, so they meet in one sub-batch). A sub-batch
+  /// whose shard fails — or, on the dispatch pool, stalls past the
+  /// configured deadline — is re-dispatched to a healthy replica; only
+  /// when every attempt is exhausted do its requests come back as
+  /// per-request Unavailable errors, and the rest of the submission is
+  /// unaffected. Async submissions remap each callback's index to the
+  /// caller's position, and every shard's translations complete before
+  /// this returns (so the barrier has its full expectation registered);
+  /// snippets stream afterwards from every shard's pool concurrently.
+  /// Books router.shard_queries per request, router.session_queries per
+  /// plan slot, and router.batches + router.shard_batch_size for the
+  /// batch entries.
+  std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const override;
 
   /// Sum of every shard's cache books (hits/misses/dedup/invalidations;
   /// capacity and size sum too — they describe the fleet).
@@ -228,38 +203,27 @@ class ShardedSodaEngine : public SodaService {
     double dispatch_deadline_ms = 0.0;
   };
 
-  /// Shared split/route/merge core of SearchAll and SearchAllAsync.
-  std::vector<Result<SearchOutput>> DispatchBatch(
-      std::span<const std::string> queries, bool async,
-      SnippetCallback on_snippet, SnippetBarrier* barrier) const;
+  struct SubBatch;
+  struct Attempt;
+  struct Flight;
 
-  /// Single-query dispatch with failover, shared by Search /
-  /// SearchSession / SearchAsync. A per-query error Result from `call`
-  /// is a query outcome (breaker success); an exception or armed
-  /// failpoint is a shard failure that retries on the next replica.
-  Result<SearchOutput> RouteSingle(
-      size_t home,
-      const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
-      const;
+  /// Starts one dispatch attempt of `sub` on shard `target`: inline on
+  /// this thread when `run_inline`, else as a dispatch-pool task. The
+  /// attempt's spans parent under `trace`.
+  std::shared_ptr<Attempt> LaunchAttempt(size_t target,
+                                         std::shared_ptr<const SubBatch> sub,
+                                         const TraceContext& trace,
+                                         bool run_inline) const;
 
-  /// Submits one sub-batch dispatch attempt on `target` to the dispatch
-  /// pool and returns its (type-erased — the attempt struct is an
-  /// implementation detail of the .cc) completion handle.
-  std::shared_ptr<void> LaunchAttempt(
-      size_t target, std::shared_ptr<const std::vector<std::string>> queries,
-      bool async, SnippetCallback on_snippet, SnippetBarrier* barrier) const;
-
-  /// Joins one home shard's in-flight first attempt and walks the retry
-  /// chain on failure: re-dispatches with exponential backoff on the
-  /// next admitted replica, abandons (sync only) attempts that outlive
-  /// the dispatch deadline, and reports every outcome to the breaker.
-  /// `queries` is owned by shared_ptr so an abandoned stalled attempt
-  /// never reads a dead frame. Returns per-query outputs; after the
-  /// retry budget every query carries an Unavailable status.
+  /// The retry loop. Joins the flight's in-flight first attempt and, on
+  /// failure, re-dispatches with exponential backoff on the next
+  /// admitted replica; abandons sync pool attempts that outlive the
+  /// dispatch deadline; reports every outcome to the breaker. On success
+  /// the attempt's plan slots move into the flight. Returns per-request
+  /// outputs; after the retry budget every request carries an
+  /// Unavailable status.
   std::vector<Result<SearchOutput>> RunSubBatchWithFailover(
-      size_t home, std::shared_ptr<const std::vector<std::string>> queries,
-      bool async, SnippetCallback on_snippet, SnippetBarrier* barrier,
-      size_t first_target, std::shared_ptr<void> first_attempt) const;
+      Flight* flight, bool run_inline) const;
 
   /// Breaker admission: first shard at or after `start` (mod N) the
   /// breaker lets through (a quarantined shard whose backoff elapsed is
@@ -282,10 +246,11 @@ class ShardedSodaEngine : public SodaService {
   mutable std::mutex breaker_mu_;
   mutable std::vector<ShardBreaker> breakers_;
 
-  // Runs per-shard sub-batch dispatches (Submit per attempt; the waiting
-  // batch thread can abandon a stalled attempt instead of blocking
-  // forever). Persistent: no per-batch thread create/join on the serving
-  // hot path, and no std::terminate if thread creation fails mid-batch.
+  // Runs per-shard sub-batch dispatches of multi-shard, multi-request
+  // submissions (Submit per attempt; the waiting caller can abandon a
+  // stalled attempt instead of blocking forever). Persistent: no
+  // per-batch thread create/join on the serving hot path, and no
+  // std::terminate if thread creation fails mid-batch.
   // Declared last so in-flight dispatches drain before the members they
   // touch are destroyed.
   mutable ThreadPool dispatch_pool_;

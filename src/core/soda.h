@@ -10,7 +10,7 @@
 //
 //   ┌────────────────────────────────────────────────────────────────┐
 //   │ SodaEngine (core/engine.h)                                     │
-//   │   LRU result cache · fixed-size worker pool · parallel fan-out │
+//   │   LRU result cache · fixed-size pool of per-query tasks        │
 //   └──────────────────────────┬─────────────────────────────────────┘
 //                              │ shares the stage list of
 //   ┌──────────────────────────▼─────────────────────────────────────┐
@@ -22,11 +22,10 @@
 //   ┌──────────────────────────▼─────────────────────────────────────┐
 //   │ Pipeline (core/pipeline.h) — paper Figure 4 as stages          │
 //   │   LookupStage → RankStage → TablesStage → FiltersStage →       │
-//   │   SqlStage, over one QueryContext; per-interpretation stages   │
-//   │   are independent per InterpretationState, which is what the   │
-//   │   engine exploits for parallelism. FinalizeOutput merges in    │
-//   │   ranked order and dedups via CanonicalKey, so serial and      │
-//   │   concurrent execution produce byte-identical result lists.    │
+//   │   SqlStage, over one QueryContext, run serially by RunPipeline │
+//   │   here and in every engine task alike. FinalizeOutput merges   │
+//   │   in ranked order and dedups via CanonicalKey, so serial and   │
+//   │   concurrent serving produce byte-identical result lists.      │
 //   └────────────────────────────────────────────────────────────────┘
 //
 // Typical use (serial, library-style):
@@ -106,12 +105,13 @@ class Soda {
   /// outcome counters into `metrics`. nullptr disables observation. This
   /// is the library-style hook for deployments that want fleet metrics
   /// without the engine; the SodaEngine wires the same sink through its
-  /// own concurrent drivers.
+  /// pool tasks.
   Result<SearchOutput> Search(const std::string& query,
                               MetricsSink* metrics) const;
 
   /// The ordered stage list (lookup, rank, tables, filters, sql). The
-  /// SodaEngine drives these same stages concurrently.
+  /// SodaEngine runs these same stages, one query per pool task; a
+  /// session resume runs the suffix after the stages it skipped.
   const std::vector<const PipelineStage*>& stages() const { return stages_; }
 
   /// Executes `statement` with the snippet row limit and stores the

@@ -30,6 +30,7 @@
 #include "common/failpoint.h"
 #include "core/engine.h"
 #include "core/freshness.h"
+#include "core/session.h"
 #include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
@@ -301,6 +302,45 @@ TEST_F(FaultInjectionTest, QuarantineProbeAndReadmission) {
   snapshot = router->metrics_snapshot();
   EXPECT_GE(snapshot.counter("router.readmissions"), 1u);
   EXPECT_EQ(snapshot.counter("router.shards_quarantined"), 0u);
+}
+
+// A session's question fails over like any other request: with its home
+// shard throwing on dispatch, Ask answers from a replica byte-identically
+// to an unarmed router and still captures its plan, and once the shard
+// is healthy again the next Refine resumes that plan.
+TEST_F(FaultInjectionTest, RoutedSessionFailsOverAndKeepsItsPlan) {
+  const std::string query = "customers Zürich financial instruments";
+  auto reference = MakeRouter(FaultConfig(4, /*threads=*/2));
+  SodaSession reference_session(reference.get());
+  auto expected = reference_session.Ask(query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  auto router = MakeRouter(FaultConfig(4, /*threads=*/2));
+  size_t home = ShardOfKey(NormalizedQueryKey(query), 4);
+  uint64_t fires_before = Failpoints::Instance().fires("shard.dispatch");
+  FailpointSpec spec;
+  spec.action = FailpointSpec::Action::kThrow;
+  spec.match = std::to_string(home);
+  Failpoints::Instance().Arm("shard.dispatch", spec);
+
+  SodaSession session(router.get());
+  auto answer = session.Ask(query);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(Fingerprint(*answer), Fingerprint(*expected));
+  EXPECT_GT(Failpoints::Instance().fires("shard.dispatch") - fires_before, 0u);
+  // The failover attempt's plan reached the session.
+  EXPECT_EQ(session.TermCandidates("financial instruments").size(), 2u);
+  MetricsSnapshot snapshot = router->metrics_snapshot();
+  EXPECT_GE(snapshot.counter("router.shard_failures"), 1u);
+  EXPECT_GE(snapshot.counter("router.rerouted_queries"), 1u);
+
+  Failpoints::Instance().DisarmAll();
+  auto refined = session.BanTable("fi_contains_sec").Refine();
+  ASSERT_TRUE(refined.ok()) << refined.status();
+  EXPECT_GT(session.last_stages_skipped(), 0u);
+  auto cold = reference->Search(query, session.constraints());
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
 }
 
 // ---------------------------------------------------------------------------

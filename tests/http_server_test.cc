@@ -111,32 +111,10 @@ class ForwardingService : public SodaService {
  public:
   explicit ForwardingService(SodaService* wrapped) : wrapped_(wrapped) {}
 
-  using SodaService::Search;
-  using SodaService::SearchAll;
-
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override {
-    return wrapped_->Search(query, constraints);
-  }
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const override {
-    return wrapped_->SearchAll(queries);
-  }
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override {
-    return wrapped_->SearchAsync(query, std::move(on_snippet), barrier);
-  }
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override {
-    return wrapped_->SearchAllAsync(queries, std::move(on_snippet), barrier);
-  }
-  Result<SearchOutput> SearchSession(
-      const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override {
-    return wrapped_->SearchSession(query, constraints, plan);
+  std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const override {
+    return wrapped_->Submit(requests, submission);
   }
   CacheStats cache_stats() const override { return wrapped_->cache_stats(); }
   void ClearCache() const override { wrapped_->ClearCache(); }
@@ -163,22 +141,22 @@ class ForwardingService : public SodaService {
   SodaService* wrapped_;
 };
 
-/// Blocks every SearchAll until Release() — fills the admission window
+/// Blocks every search until Release() — fills the admission window
 /// deterministically.
 class BlockingService : public ForwardingService {
  public:
   using ForwardingService::ForwardingService;
-  using ForwardingService::SearchAll;
 
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const override {
+  std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const override {
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++entered_;
       entered_cv_.notify_all();
       released_cv_.wait(lock, [this] { return released_; });
     }
-    return wrapped_->SearchAll(queries);
+    return wrapped_->Submit(requests, submission);
   }
 
   void WaitUntilEntered(size_t n) const {
@@ -199,17 +177,17 @@ class BlockingService : public ForwardingService {
   bool released_ = false;
 };
 
-/// Delays every SearchAll — an in-flight request that outlives Stop().
+/// Delays every search — an in-flight request that outlives Stop().
 class DelayService : public ForwardingService {
  public:
   DelayService(SodaService* wrapped, int delay_ms)
       : ForwardingService(wrapped), delay_ms_(delay_ms) {}
-  using ForwardingService::SearchAll;
 
-  std::vector<Result<SearchOutput>> SearchAll(
-      std::span<const std::string> queries) const override {
+  std::vector<Result<SearchOutput>> Submit(
+      std::span<const SearchRequest> requests,
+      const Submission& submission) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
-    return wrapped_->SearchAll(queries);
+    return wrapped_->Submit(requests, submission);
   }
 
  private:

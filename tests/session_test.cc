@@ -362,6 +362,46 @@ TEST_F(SessionTest, ConstraintedAnswersCacheSeparately) {
 // Stage-skip accounting and plan freshness
 // ---------------------------------------------------------------------------
 
+// One cache-hit rule for every entry point: a response served from cache
+// reports all five stages skipped and no stage work, whichever run stored
+// the entry — here a Step-5-only session resume (stages_skipped = 4).
+TEST_F(SessionTest, EveryCacheHitReportsFiveSkippedStages) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SodaConfig config = Config(/*threads=*/2, /*cache=*/64);
+    config.num_shards = shards;
+    auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
+                                            CreditSuissePatternLibrary(),
+                                            config);
+    ASSERT_TRUE(router.ok()) << router.status();
+    std::unique_ptr<SodaEngine> engine = Engine(config);
+    for (SodaService* service :
+         {static_cast<SodaService*>(engine.get()),
+          static_cast<SodaService*>(router->get())}) {
+      SodaSession session(service);
+      ASSERT_TRUE(session.Ask(kSteerable).ok());
+      service->ClearCache();
+      ASSERT_TRUE(session.Refine().ok());
+      ASSERT_EQ(session.last_stages_skipped(), 4u);  // the stored answer
+
+      std::vector<Result<SearchOutput>> hits;
+      hits.push_back(service->Search(kSteerable));
+      hits.push_back(std::move(service->SearchAll({kSteerable})[0]));
+      SnippetBarrier barrier;
+      hits.push_back(service->SearchAsync(kSteerable, nullptr, &barrier));
+      barrier.Wait();
+      for (size_t i = 0; i < hits.size(); ++i) {
+        SCOPED_TRACE("entry " + std::to_string(i));
+        ASSERT_TRUE(hits[i].ok()) << hits[i].status();
+        EXPECT_TRUE(hits[i]->from_cache);
+        EXPECT_EQ(hits[i]->stages_skipped, 5u);
+        EXPECT_EQ(hits[i]->timings.soda_total_ms(), 0.0);
+        EXPECT_EQ(hits[i]->timings.execute_ms, 0.0);
+      }
+    }
+  }
+}
+
 TEST_F(SessionTest, StageSkipMatrixAndCounters) {
   auto engine = Engine(Config(/*threads=*/2, /*cache=*/0));
   SodaSession session(engine.get());

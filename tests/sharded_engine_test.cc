@@ -3,7 +3,9 @@
 //   - folded-hash routing: stable, whitespace-insensitive, in range, and
 //     sanely distributed across 1/2/4/8 shards;
 //   - determinism: SearchAll / Search / SearchAllAsync output bytes match
-//     a single serial engine at every shard count × thread count;
+//     a single serial engine at every shard count × thread count, and
+//     every entry point answers like the serial Soda::Search reference
+//     under every constraint kind, cold and from cache;
 //   - aggregation: summed cache stats and merged metrics equal a single
 //     engine's totals for the same traffic, plus the router's own
 //     counters and batch-size samples;
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/session.h"
 #include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
@@ -403,6 +406,141 @@ TEST_F(ShardedEngineTest, AsyncBytesMatchSyncAcrossShardCounts) {
       EXPECT_TRUE(warm->from_cache) << queries[q];
       EXPECT_EQ(Fingerprint(*warm), Fingerprint(*expected))
           << "shards=" << shards << " query=" << queries[q];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-entry-point oracle
+// ---------------------------------------------------------------------------
+
+// The serial reference: Soda::Search itself, or — under constraints,
+// which Soda::Search does not take — its own loop with the constraints
+// installed on the context: RunPipeline over the Figure 4 stages, then
+// every snippet in ranked order.
+std::string SerialReference(const Soda& soda, const std::string& query,
+                            const SessionConstraints& constraints) {
+  if (constraints.empty()) {
+    auto output = soda.Search(query);
+    EXPECT_TRUE(output.ok()) << output.status();
+    return output.ok() ? Fingerprint(*output) : "";
+  }
+  QueryContext ctx(query);
+  ctx.config = &soda.config();
+  ctx.constraints = &constraints;
+  Status status = RunPipeline(soda.stages(), &ctx);
+  EXPECT_TRUE(status.ok()) << status;
+  SearchOutput output = FinalizeOutput(std::move(ctx));
+  for (SodaResult& result : output.results) soda.ExecuteSnippet(&result);
+  return Fingerprint(output);
+}
+
+// Every entry point's answer to one query, by name. `cold` clears the
+// cache before each call, so each one translates; otherwise each call is
+// served from the cache the previous pass filled. The async answer is
+// fingerprinted after Wait(), with the streamed results in place.
+std::vector<std::pair<std::string, Result<SearchOutput>>> EntryPointAnswers(
+    const SodaService& service, const std::string& query,
+    const SessionConstraints& constraints, bool cold) {
+  std::vector<std::pair<std::string, Result<SearchOutput>>> answers;
+  auto clear = [&] {
+    if (cold) service.ClearCache();
+  };
+  clear();
+  answers.emplace_back("Search", service.Search(query, constraints));
+  clear();
+  std::shared_ptr<TranslationPlan> plan;
+  answers.emplace_back("SearchSession",
+                       service.SearchSession(query, constraints, &plan));
+  if (constraints.empty()) {
+    clear();
+    answers.emplace_back("SearchAll", std::move(service.SearchAll({query})[0]));
+  }
+  clear();
+  std::mutex mu;
+  std::map<size_t, SodaResult> streamed;
+  SnippetCallback on_snippet = [&](size_t, size_t result_index,
+                                   const SodaResult& result) {
+    std::lock_guard<std::mutex> lock(mu);
+    streamed[result_index] = result;
+  };
+  SnippetBarrier barrier;
+  Result<SearchOutput> async(Status::Internal("not served"));
+  if (constraints.empty()) {
+    async = std::move(service.SearchAllAsync({&query, 1}, on_snippet,
+                                             &barrier)[0]);
+  } else {
+    // The async wrappers are unconstrained; Submit streams any request.
+    SearchRequest request{&query, &constraints, nullptr};
+    Submission submission{SearchEntry::kSearchAllAsync, on_snippet, &barrier};
+    async = std::move(service.Submit({&request, 1}, submission)[0]);
+  }
+  barrier.Wait();
+  if (async.ok()) {
+    for (auto& [index, result] : streamed) async->results[index] = result;
+  }
+  answers.emplace_back("SearchAllAsync", std::move(async));
+  return answers;
+}
+
+TEST_F(ShardedEngineTest, EveryEntryPointMatchesTheSerialReference) {
+  const std::vector<std::string> queries = MiniBankQueries();
+  auto reference_engine = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
+  const Soda& soda = reference_engine->soda();
+
+  // One constraint set per lever. The bind target is the second
+  // candidate of a two-way term, which surfaces an interpretation the
+  // unconstrained ranking keeps second.
+  SodaSession probe(reference_engine.get());
+  ASSERT_TRUE(probe.Ask(queries[0]).ok());
+  auto candidates = probe.TermCandidates("financial instruments");
+  ASSERT_EQ(candidates.size(), 2u);
+  std::vector<std::pair<std::string, SessionConstraints>> constraint_sets(4);
+  constraint_sets[0].first = "none";
+  constraint_sets[1].first = "pin";
+  constraint_sets[1].second.PinTable("addresses");
+  constraint_sets[2].first = "ban";
+  constraint_sets[2].second.BanTable("fi_contains_sec");
+  constraint_sets[3].first = "bind";
+  constraint_sets[3].second.Bind("financial instruments",
+                                 candidates[1].first);
+
+  std::vector<std::vector<std::string>> expected(constraint_sets.size());
+  for (size_t c = 0; c < constraint_sets.size(); ++c) {
+    for (const std::string& query : queries) {
+      expected[c].push_back(
+          SerialReference(soda, query, constraint_sets[c].second));
+    }
+    // Every lever changes at least one answer of the workload.
+    if (c > 0) EXPECT_NE(expected[c], expected[0]) << constraint_sets[c].first;
+  }
+
+  std::vector<std::pair<std::string, std::unique_ptr<SodaService>>> services;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    services.emplace_back("engine threads=" + std::to_string(threads),
+                          MakeEngine(threads, /*cache_capacity=*/64));
+    services.emplace_back("router shards=4 threads=" + std::to_string(threads),
+                          MakeRouter(/*shards=*/4, threads,
+                                     /*cache_capacity=*/64));
+  }
+
+  for (const auto& [service_name, service] : services) {
+    for (size_t c = 0; c < constraint_sets.size(); ++c) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        for (bool cold : {true, false}) {
+          for (auto& [entry, answer] :
+               EntryPointAnswers(*service, queries[q],
+                                 constraint_sets[c].second, cold)) {
+            SCOPED_TRACE(service_name + " constraints=" +
+                         constraint_sets[c].first +
+                         (cold ? " cold " : " cached ") + entry +
+                         " query=" + queries[q]);
+            ASSERT_TRUE(answer.ok()) << answer.status();
+            EXPECT_EQ(answer->from_cache, !cold);
+            EXPECT_EQ(Fingerprint(*answer), expected[c][q]);
+          }
+        }
+      }
     }
   }
 }
