@@ -111,9 +111,13 @@ struct SodaConfig {
   /// applies only to sync submissions that the router runs on its
   /// dispatch pool, i.e. more than one request across more than one
   /// shard. A single-request submission or a 1-shard router runs its
-  /// attempt inline on the caller's thread, which cannot abandon it; an
-  /// async sub-batch registers streaming callbacks, which cannot be
-  /// safely abandoned mid-flight.
+  /// attempt inline on the caller's thread, which cannot abandon it; so
+  /// does a sub-batch whose every request is already cached on its
+  /// target shard, which therefore is neither bounded by this deadline
+  /// nor quarantined for stalling (a shard that stalls while serving
+  /// hits holds the caller until it answers). An async sub-batch
+  /// registers streaming callbacks, which cannot be safely abandoned
+  /// mid-flight.
   double shard_dispatch_deadline_ms = 0.0;
 
   // -------------------------------------------------------------------

@@ -149,7 +149,8 @@ SodaEngine::SodaEngine(std::unique_ptr<Soda> soda)
   PreRegisterEngineCounters(default_sink_.get());
   for (const char* name :
        {"search.wall.ms", "batch.wall.ms", "stage.execute.ms",
-        "pool.queue_depth", "executor.rows", "executor.tables"}) {
+        "pool.queue_depth", "executor.rows", "executor.tables",
+        "executor.rows_scanned"}) {
     default_sink_->RegisterHistogram(name);
   }
   for (const PipelineStage* stage : soda_->stages()) {

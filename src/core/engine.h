@@ -103,6 +103,16 @@ class SodaEngine : public SodaService {
       std::span<const SearchRequest> requests,
       const Submission& submission) const override;
 
+  /// Whether `query` under `constraints` is cached right now: one
+  /// lock-scoped peek at its ConstrainedCacheKey that neither promotes
+  /// the entry nor books a hit or miss. The router runs a sub-batch
+  /// whose every request peeks cached inline on the caller thread.
+  bool IsCached(const std::string& query,
+                const SessionConstraints& constraints) const {
+    return cache_.Contains(
+        ConstrainedCacheKey(NormalizedQueryKey(query), constraints));
+  }
+
   /// Cache observability and control.
   CacheStats cache_stats() const override { return cache_.stats(); }
   void ClearCache() const override { cache_.Clear(); }

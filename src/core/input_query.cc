@@ -1,6 +1,9 @@
 #include "core/input_query.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <system_error>
 
 #include "common/strings.h"
 
@@ -8,6 +11,9 @@ namespace soda {
 
 namespace {
 
+// A number is [+-]digits[.digits] whose value fits its type (int64 for
+// integers, a finite double otherwise); anything else — a 20-digit id
+// included — stays a keyword.
 bool IsNumberToken(const std::string& token, InputElement* out) {
   if (token.empty()) return false;
   size_t i = 0;
@@ -23,10 +29,21 @@ bool IsNumberToken(const std::string& token, InputElement* out) {
     }
   }
   if (!any_digit) return false;
+  // from_chars takes a leading '-' but not '+'.
+  const char* first = token.data() + (token[0] == '+' ? 1 : 0);
+  const char* last = token.data() + token.size();
+  double number = 0.0;
+  int64_t integer = 0;
+  auto parsed = std::from_chars(first, last, number);
+  if (parsed.ec != std::errc() || parsed.ptr != last) return false;
+  if (!has_dot) {
+    parsed = std::from_chars(first, last, integer);
+    if (parsed.ec != std::errc() || parsed.ptr != last) return false;
+  }
   out->kind = InputElement::Kind::kNumber;
-  out->number = std::stod(token);
+  out->number = number;
   out->number_is_integer = !has_dot;
-  if (!has_dot) out->integer = std::stoll(token);
+  if (!has_dot) out->integer = integer;
   return true;
 }
 
@@ -251,7 +268,8 @@ Result<InputQuery> ParseInputQuery(const std::string& text) {
     // top N
     if (folded == "top" && i + 1 < tokens.size()) {
       InputElement n;
-      if (IsNumberToken(tokens[i + 1].text, &n) && n.number_is_integer) {
+      if (IsNumberToken(tokens[i + 1].text, &n) && n.number_is_integer &&
+          n.integer >= 1) {
         element.kind = InputElement::Kind::kTopN;
         element.integer = n.integer;
         query.elements.push_back(std::move(element));

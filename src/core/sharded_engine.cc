@@ -120,7 +120,7 @@ ShardedSodaEngine::ShardedSodaEngine(
        {"router.batches", "router.shard_queries", "router.session_queries",
         "router.invalidations", "router.shard_failures", "router.retries",
         "router.quarantines", "router.readmissions",
-        "router.rerouted_queries"}) {
+        "router.rerouted_queries", "router.cached_sub_batches"}) {
     router_sink_->IncrementCounter(counter, 0);
   }
   router_sink_->RegisterHistogram("router.shard_batch_size");
@@ -330,17 +330,20 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::Submit(
 
   // With one shard or one request there is nothing to overlap, so the
   // attempt runs inline on the caller thread — concurrent callers of a
-  // 1-shard router never queue behind one dispatch thread. Otherwise
-  // every occupied home's first attempt launches on the dispatch pool
-  // before any is joined, so healthy sub-batches run concurrently while
-  // a failing one walks its retry chain. For an async submission this
-  // covers the translation phase only — each shard registers its
+  // 1-shard router never queue behind one dispatch thread. A sub-batch
+  // whose every request is cached on its target runs inline too: serving
+  // hits is cheaper than the handoff. Every other occupied home's first
+  // attempt launches on the dispatch pool before any is joined (and
+  // before the inline ones run), so healthy sub-batches run concurrently
+  // while a failing one walks its retry chain. For an async submission
+  // this covers the translation phase only — each shard registers its
   // callbacks on the barrier before its Submit returns, so by the time
   // this returns the barrier's expectation is complete and snippets keep
   // streaming from every shard's pool.
-  const bool run_inline = shards_.size() == 1 || requests.size() == 1;
+  const bool all_inline = shards_.size() == 1 || requests.size() == 1;
   std::vector<Flight> flights;
   flights.reserve(shards_.size());
+  std::vector<size_t> inline_flights;  // launched once the pool has work
   for (std::shared_ptr<SubBatch>& sub : subs) {
     if (sub == nullptr) continue;
     if (batched) {
@@ -374,10 +377,22 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::Submit(
         flight.route_span.AddEvent("reroute",
                                    "shard " + std::to_string(target));
       }
-      flight.attempt = LaunchAttempt(target, sub,
-                                     flight.route_span.context(), run_inline);
+      if (RunsInline(target, *sub, all_inline)) {
+        if (!all_inline) {
+          router_sink_->IncrementCounter("router.cached_sub_batches", 1);
+        }
+        inline_flights.push_back(flights.size());
+      } else {
+        flight.attempt = LaunchAttempt(target, sub,
+                                       flight.route_span.context(), false);
+      }
     }
     flights.push_back(std::move(flight));
+  }
+  for (size_t f : inline_flights) {
+    Flight& flight = flights[f];
+    flight.attempt = LaunchAttempt(flight.target, flight.sub,
+                                   flight.route_span.context(), true);
   }
 
   // Re-merge into input order; plan slots are written here, on the
@@ -387,7 +402,7 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::Submit(
       Result<SearchOutput>(Status::Internal("unrouted request")));
   for (Flight& flight : flights) {
     std::vector<Result<SearchOutput>> sub_outputs =
-        RunSubBatchWithFailover(&flight, run_inline);
+        RunSubBatchWithFailover(&flight, all_inline);
     const SubBatch& sub = *flight.sub;
     for (size_t k = 0; k < sub.indices.size(); ++k) {
       outputs[sub.indices[k]] = std::move(sub_outputs[k]);
@@ -397,6 +412,17 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::Submit(
     }
   }
   return outputs;
+}
+
+bool ShardedSodaEngine::RunsInline(size_t target, const SubBatch& sub,
+                                   bool all_inline) const {
+  if (all_inline) return true;
+  for (size_t k = 0; k < sub.queries.size(); ++k) {
+    if (!shards_[target]->IsCached(sub.queries[k], sub.constraints[k])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::shared_ptr<ShardedSodaEngine::Attempt> ShardedSodaEngine::LaunchAttempt(
@@ -473,7 +499,7 @@ std::shared_ptr<ShardedSodaEngine::Attempt> ShardedSodaEngine::LaunchAttempt(
 }
 
 std::vector<Result<SearchOutput>> ShardedSodaEngine::RunSubBatchWithFailover(
-    Flight* flight, bool run_inline) const {
+    Flight* flight, bool all_inline) const {
   const SubBatch& sub = *flight->sub;
   // The stall deadline binds sync pool attempts only: an inline attempt
   // has finished before it is joined, and an async sub-batch registers
@@ -549,7 +575,8 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::RunSubBatchWithFailover(
                                      sub.queries.size());
       span.AddEvent("reroute", "shard " + std::to_string(target));
     }
-    attempt = LaunchAttempt(target, flight->sub, span.context(), run_inline);
+    attempt = LaunchAttempt(target, flight->sub, span.context(),
+                            RunsInline(target, sub, all_inline));
   }
   span.SetError("sub-batch failed after every attempt");
   return std::vector<Result<SearchOutput>>(

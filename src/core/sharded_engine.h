@@ -24,8 +24,10 @@
 //      still applies its own in-batch dedup and cache, so the ranked
 //      output is byte-identical to a single engine at any shard count ×
 //      thread count. With one shard, or one request, the attempt runs
-//      inline on the caller thread; otherwise the occupied shards run
-//      concurrently on a persistent router-side dispatch pool;
+//      inline on the caller thread, and so does a sub-batch whose every
+//      request is already cached on its target shard; otherwise the
+//      occupied shards run concurrently on a persistent router-side
+//      dispatch pool;
 //   3. failure domains — every shard is wrapped in a small circuit
 //      breaker (closed → quarantined → probing). A sub-batch whose
 //      dispatch fails (throws, errors through the "shard.dispatch"
@@ -207,6 +209,14 @@ class ShardedSodaEngine : public SodaService {
   struct Attempt;
   struct Flight;
 
+  /// Whether an attempt of `sub` on shard `target` runs inline on the
+  /// caller thread: always when `all_inline` (one shard or one request),
+  /// else when every request of `sub` is already cached on `target` — a
+  /// hit-only sub-batch costs less than the handoff to the dispatch
+  /// pool. An entry evicted between this peek and the attempt merely
+  /// runs its pipeline inline.
+  bool RunsInline(size_t target, const SubBatch& sub, bool all_inline) const;
+
   /// Starts one dispatch attempt of `sub` on shard `target`: inline on
   /// this thread when `run_inline`, else as a dispatch-pool task. The
   /// attempt's spans parent under `trace`.
@@ -223,7 +233,7 @@ class ShardedSodaEngine : public SodaService {
   /// outputs; after the retry budget every request carries an
   /// Unavailable status.
   std::vector<Result<SearchOutput>> RunSubBatchWithFailover(
-      Flight* flight, bool run_inline) const;
+      Flight* flight, bool all_inline) const;
 
   /// Breaker admission: first shard at or after `start` (mod N) the
   /// breaker lets through (a quarantined shard whose backoff elapsed is

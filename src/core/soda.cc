@@ -51,7 +51,9 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
 
 void Soda::ExecuteSnippet(SodaResult* result, MetricsSink* metrics) const {
   SelectStatement limited = result->statement;
-  if (!limited.limit.has_value() ||
+  // A negative LIMIT means "no limit" to the executor, so it is capped
+  // like a missing one.
+  if (!limited.limit.has_value() || *limited.limit < 0 ||
       *limited.limit > static_cast<int64_t>(config_.snippet_rows)) {
     limited.limit = static_cast<int64_t>(config_.snippet_rows);
   }
@@ -63,6 +65,8 @@ void Soda::ExecuteSnippet(SodaResult* result, MetricsSink* metrics) const {
   if (metrics != nullptr && rs.ok()) {
     metrics->Observe("executor.rows", static_cast<double>(stats.rows_output));
     metrics->Observe("executor.tables", static_cast<double>(stats.tables));
+    metrics->Observe("executor.rows_scanned",
+                     static_cast<double>(stats.rows_scanned));
   }
 }
 

@@ -114,10 +114,12 @@ class Soda {
   /// session resume runs the suffix after the stages it skipped.
   const std::vector<const PipelineStage*>& stages() const { return stages_; }
 
-  /// Executes `statement` with the snippet row limit and stores the
+  /// Executes `statement` with the snippet row limit (a missing,
+  /// negative or larger LIMIT becomes snippet_rows) and stores the
   /// outcome on `result`. Used by both drivers after the merge. When
   /// `metrics` is set, executor-level distributions ("executor.rows",
-  /// "executor.tables") are observed per executed statement.
+  /// "executor.tables", "executor.rows_scanned") are observed per
+  /// executed statement.
   void ExecuteSnippet(SodaResult* result,
                       MetricsSink* metrics = nullptr) const;
 

@@ -1,7 +1,10 @@
 #include "sql/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/date.h"
@@ -70,12 +73,19 @@ class Lexer {
           ++pos_;
         }
         t.text = std::string(sql_.substr(start, pos_ - start));
+        const char* first = t.text.data();
+        const char* last = first + t.text.size();
+        std::from_chars_result parsed;
         if (has_dot) {
           t.kind = TokenKind::kFloat;
-          t.double_value = std::stod(t.text);
+          parsed = std::from_chars(first, last, t.double_value);
         } else {
           t.kind = TokenKind::kInteger;
-          t.int_value = std::stoll(t.text);
+          parsed = std::from_chars(first, last, t.int_value);
+        }
+        if (parsed.ec != std::errc() || parsed.ptr != last) {
+          return Status::ParseError("numeric literal out of range: " +
+                                    t.text);
         }
       } else if (c == '\'') {
         t.kind = TokenKind::kString;
@@ -173,6 +183,9 @@ class Parser {
     if (AcceptKeyword("limit")) {
       if (Current().kind != TokenKind::kInteger) {
         return Status::ParseError("expected integer after LIMIT");
+      }
+      if (Current().int_value < 0) {
+        return Status::ParseError("LIMIT must not be negative");
       }
       stmt.limit = Current().int_value;
       Advance();

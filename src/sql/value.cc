@@ -80,8 +80,10 @@ size_t Value::Hash() const {
     case ValueType::kDouble: {
       // Hash the numeric value so 3 == 3.0 implies equal hashes.
       double d = NumericValue();
-      if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-          std::abs(d) < 9.0e15) {
+      // Range check first: casting a non-finite or out-of-range double
+      // to int64_t is undefined.
+      if (std::isfinite(d) && std::abs(d) < 9.0e15 &&
+          d == static_cast<double>(static_cast<int64_t>(d))) {
         return std::hash<int64_t>{}(static_cast<int64_t>(d)) ^ 0x51ed2701u;
       }
       return std::hash<double>{}(d) ^ 0x51ed2701u;

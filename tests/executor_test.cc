@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+
+#include "datasets/minibank.h"
+#include "reference_executor.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "storage/table.h"
@@ -220,6 +225,144 @@ TEST_F(ExecutorTest, NullNeverJoins) {
       "SELECT * FROM with_nulls, individuals "
       "WHERE with_nulls.ref = individuals.id");
   EXPECT_EQ(rs.num_rows(), 1u);
+}
+
+// Equality is Value::Compare() == 0 everywhere — never the rendered
+// literal, which prints 1234567.0 and 1234568.0 alike as 1.23457e+06.
+class ValueEqualityTest : public ExecutorTest {
+ protected:
+  void SetUp() override {
+    ExecutorTest::SetUp();
+    Table* amounts = *db_.CreateTable(
+        "amounts", {{"id", ValueType::kInt64}, {"amt", ValueType::kDouble}});
+    ASSERT_TRUE(amounts->Append({Value::Int(1), Value::Real(1234567.0)}).ok());
+    ASSERT_TRUE(amounts->Append({Value::Int(2), Value::Real(1234568.0)}).ok());
+    Table* ints = *db_.CreateTable("ints", {{"n", ValueType::kInt64}});
+    ASSERT_TRUE(ints->Append({Value::Int(1000000)}).ok());
+    Table* reals = *db_.CreateTable("reals", {{"x", ValueType::kDouble}});
+    ASSERT_TRUE(reals->Append({Value::Real(1e6)}).ok());
+    ASSERT_TRUE(reals->Append({Value::Real(2e6)}).ok());
+  }
+};
+
+TEST_F(ValueEqualityTest, GroupByKeepsValuesThatRenderAlike) {
+  ResultSet rs = Run("SELECT amt, count(*) FROM amounts GROUP BY amt");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Real(1234567.0));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(1));
+  EXPECT_EQ(rs.rows[1][0], Value::Real(1234568.0));
+  EXPECT_EQ(rs.rows[1][1], Value::Int(1));
+}
+
+TEST_F(ValueEqualityTest, CountDistinctByValue) {
+  ResultSet rs = Run("SELECT count(DISTINCT amt) FROM amounts");
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(2));
+}
+
+TEST_F(ValueEqualityTest, DistinctByValue) {
+  ResultSet rs = Run("SELECT DISTINCT amt FROM amounts");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Real(1234567.0));
+  EXPECT_EQ(rs.rows[1][0], Value::Real(1234568.0));
+}
+
+TEST_F(ValueEqualityTest, JoinKeyByValue) {
+  ResultSet rs = Run(
+      "SELECT p.id, q.id FROM amounts p, amounts q WHERE p.amt = q.amt");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(1));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(1));
+  EXPECT_EQ(rs.rows[1][0], Value::Int(2));
+  EXPECT_EQ(rs.rows[1][1], Value::Int(2));
+}
+
+// A hash-join key agrees with the WHERE comparison: int 1000000 equals
+// double 1e6.
+TEST_F(ValueEqualityTest, JoinIntAgainstDouble) {
+  ResultSet rs = Run("SELECT q.n, r.x FROM ints q, reals r WHERE q.n = r.x");
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(1000000));
+  EXPECT_EQ(rs.rows[0][1], Value::Real(1e6));
+}
+
+// Doubles outside the int64 range (and infinities) hash without an
+// out-of-range cast, so they group and join by value like any other.
+TEST_F(ValueEqualityTest, GroupAndJoinOnHugeDoubles) {
+  Table* huge = *db_.CreateTable(
+      "huge", {{"id", ValueType::kInt64}, {"v", ValueType::kDouble}});
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(huge->Append({Value::Int(1), Value::Real(1e20)}).ok());
+  ASSERT_TRUE(huge->Append({Value::Int(2), Value::Real(1e20)}).ok());
+  ASSERT_TRUE(huge->Append({Value::Int(3), Value::Real(3e20)}).ok());
+  ASSERT_TRUE(huge->Append({Value::Int(4), Value::Real(inf)}).ok());
+
+  ResultSet groups = Run("SELECT v, count(*) FROM huge GROUP BY v");
+  ASSERT_EQ(groups.num_rows(), 3u);
+  EXPECT_EQ(groups.rows[0][0], Value::Real(1e20));
+  EXPECT_EQ(groups.rows[0][1], Value::Int(2));
+  EXPECT_EQ(groups.rows[1][0], Value::Real(3e20));
+  EXPECT_EQ(groups.rows[1][1], Value::Int(1));
+  EXPECT_EQ(groups.rows[2][0], Value::Real(inf));
+  EXPECT_EQ(groups.rows[2][1], Value::Int(1));
+
+  ResultSet joined =
+      Run("SELECT p.id, q.id FROM huge p, huge q WHERE p.v = q.v");
+  const int64_t want[][2] = {{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 3}, {4, 4}};
+  ASSERT_EQ(joined.num_rows(), std::size(want));
+  for (size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(joined.rows[i][0], Value::Int(want[i][0])) << i;
+    EXPECT_EQ(joined.rows[i][1], Value::Int(want[i][1])) << i;
+  }
+}
+
+// Work counters of a 3-table statement on the mini-bank: the seed scan
+// (parties, 70 rows) streams, the hash sides (individuals, 50 rows;
+// transactions, 500 rows) are read once each on first probe.
+class ExecStatsTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kSql =
+      "SELECT parties.id, transactions.id FROM parties, individuals, "
+      "transactions WHERE individuals.id = parties.id "
+      "AND transactions.fromParty = parties.id";
+
+  ExecStats Stats(const std::string& sql, size_t* rows) {
+    auto bank = BuildMiniBank();
+    EXPECT_TRUE(bank.ok()) << bank.status();
+    Executor executor(&(*bank)->db);
+    auto stmt = ParseSql(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status();
+    ExecStats stats;
+    auto rs = executor.Execute(*stmt, &stats);
+    EXPECT_TRUE(rs.ok()) << rs.status();
+    *rows = rs.ok() ? rs->num_rows() : 0;
+    auto want = ReferenceExecutor(&(*bank)->db).Execute(*stmt);
+    EXPECT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(*rows, want.ok() ? want->num_rows() : 0);
+    return stats;
+  }
+};
+
+TEST_F(ExecStatsTest, FullRun) {
+  size_t rows = 0;
+  ExecStats stats = Stats(kSql, &rows);
+  EXPECT_EQ(stats.tables, 3u);
+  EXPECT_EQ(stats.rows_scanned, 70u + 50u + 500u);
+  EXPECT_EQ(stats.tuples_emitted, 365u);
+  EXPECT_EQ(stats.rows_output, 365u);
+  EXPECT_EQ(rows, 365u);
+  EXPECT_FALSE(stats.early_stopped);
+}
+
+TEST_F(ExecStatsTest, LimitStopsTheSeedScan) {
+  size_t rows = 0;
+  ExecStats stats = Stats(std::string(kSql) + " LIMIT 20", &rows);
+  EXPECT_EQ(stats.tables, 3u);
+  EXPECT_EQ(stats.rows_scanned, 3u + 50u + 500u);
+  EXPECT_EQ(stats.tuples_emitted, 20u);
+  EXPECT_EQ(stats.rows_output, 20u);
+  EXPECT_EQ(rows, 20u);
+  EXPECT_TRUE(stats.early_stopped);
 }
 
 // SQL LIKE semantics.

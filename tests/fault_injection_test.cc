@@ -219,6 +219,40 @@ TEST_F(FaultInjectionTest, MultiShardStallAbandonsAndReroutes) {
   }
 }
 
+// A sub-batch whose every request is cached on its shard runs inline on
+// the caller thread, so the stall deadline (which only bounds pool
+// attempts) never abandons it: the same stall that re-routes a cold
+// batch above leaves a warm one on its home shard, served from cache.
+TEST_F(FaultInjectionTest, WarmSubBatchesRunInlinePastTheStallDeadline) {
+  std::vector<std::string> queries = MiniBankQueries();
+  size_t bad = ShardOfKey(NormalizedQueryKey(queries[0]), 4);
+  auto router = MakeRouter(FaultConfig(4, 1, /*deadline_ms=*/40.0));
+  for (const auto& output :
+       router->SearchAll(std::span<const std::string>(queries))) {
+    ASSERT_TRUE(output.ok()) << output.status();
+  }
+  EXPECT_EQ(router->metrics_snapshot().counter("router.cached_sub_batches"),
+            0u);
+  FailpointSpec spec;
+  spec.action = FailpointSpec::Action::kSleep;
+  spec.sleep_ms = 120.0;
+  spec.match = std::to_string(bad);
+  Failpoints::Instance().Arm("shard.dispatch", spec);
+
+  auto outputs = router->SearchAll(std::span<const std::string>(queries));
+  ASSERT_EQ(outputs.size(), queries.size());
+  for (const auto& output : outputs) {
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_TRUE(output->from_cache);
+  }
+  EXPECT_GE(Failpoints::Instance().fires("shard.dispatch"), 1u);
+  MetricsSnapshot snapshot = router->metrics_snapshot();
+  EXPECT_EQ(snapshot.counter("router.shard_failures"), 0u);
+  EXPECT_EQ(snapshot.counter("router.retries"), 0u);
+  EXPECT_EQ(snapshot.counter("router.rerouted_queries"), 0u);
+  EXPECT_GE(snapshot.counter("router.cached_sub_batches"), 1u);
+}
+
 // A single-shard router has nowhere to re-route: every query fails with
 // a per-query Unavailable (fail-fast once quarantined, no hang), and the
 // shard recovers after disarm + backoff.

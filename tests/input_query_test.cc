@@ -117,6 +117,50 @@ TEST(InputQueryTest, TopWithoutNumberIsKeyword) {
   EXPECT_EQ(q->elements[0].words[0], "top");
 }
 
+TEST(InputQueryTest, TopNeedsAPositiveCount) {
+  for (const char* text : {"top -1 Zurich", "top 0 Zurich"}) {
+    auto q = ParseInputQuery(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status();
+    for (const InputElement& e : q->elements) {
+      EXPECT_NE(e.kind, Kind::kTopN) << text;
+    }
+  }
+}
+
+// A token too large for its type is a keyword, not a number (and never
+// an exception out of the parser).
+TEST(InputQueryTest, OutOfRangeNumbersAreKeywords) {
+  auto q = ParseInputQuery("Zurich 99999999999999999999");
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_EQ(q->elements.size(), 1u);
+  EXPECT_EQ(q->elements[0].kind, Kind::kKeywords);
+  EXPECT_EQ(q->elements[0].words.back(), "99999999999999999999");
+
+  EXPECT_TRUE(ParseInputQuery("salary > 99999999999999999999").ok());
+  EXPECT_TRUE(ParseInputQuery("top 99999999999999999999 Zurich").ok());
+
+  auto max = ParseInputQuery("salary >= 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status();
+  ASSERT_EQ(max->elements.size(), 3u);
+  EXPECT_EQ(max->elements[2].kind, Kind::kNumber);
+  EXPECT_EQ(max->elements[2].integer, INT64_MAX);
+  auto over = ParseInputQuery("salary >= 9223372036854775808");
+  ASSERT_TRUE(over.ok()) << over.status();
+  for (const InputElement& e : over->elements) {
+    EXPECT_NE(e.kind, Kind::kNumber);
+  }
+}
+
+TEST(InputQueryTest, SignedNumbers) {
+  auto q = ParseInputQuery("rate >= +2 and rate <= -1.5");
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_EQ(q->elements.size(), 7u);
+  EXPECT_EQ(q->elements[2].kind, Kind::kNumber);
+  EXPECT_EQ(q->elements[2].integer, 2);
+  EXPECT_EQ(q->elements[6].kind, Kind::kNumber);
+  EXPECT_DOUBLE_EQ(q->elements[6].number, -1.5);
+}
+
 TEST(InputQueryTest, NumbersBecomeLiterals) {
   auto q = ParseInputQuery("salary >= 500000");
   ASSERT_TRUE(q.ok()) << q.status();

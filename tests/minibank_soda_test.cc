@@ -137,5 +137,33 @@ TEST_F(MiniBankSodaTest, InheritanceParentCollected) {
       << best.sql;
 }
 
+// Numeric tokens that are no valid count or do not fit their type: the
+// search still serves, and no snippet exceeds snippet_rows.
+TEST_F(MiniBankSodaTest, BadNumericTokensStillServe) {
+  for (const char* query :
+       {"top -1 Zurich", "top 0 Zurich", "Zurich 99999999999999999999",
+        "salary > 99999999999999999999"}) {
+    auto output = soda_->Search(query);
+    ASSERT_TRUE(output.ok()) << query << ": " << output.status();
+    for (const SodaResult& result : output->results) {
+      EXPECT_EQ(result.sql.find("LIMIT -"), std::string::npos) << result.sql;
+      EXPECT_LE(result.snippet.num_rows(), soda_->config().snippet_rows)
+          << query << "\n" << result.sql;
+    }
+  }
+}
+
+// A negative LIMIT means "no limit" to the executor; the snippet cuts it
+// to snippet_rows like a missing one.
+TEST_F(MiniBankSodaTest, NegativeLimitSnippetIsCapped) {
+  SodaResult result;
+  result.statement.items.push_back(SelectItem{Expr::MakeStar(), ""});
+  result.statement.from.push_back(TableRef{"transactions", ""});
+  result.statement.limit = -1;
+  soda_->ExecuteSnippet(&result);
+  ASSERT_TRUE(result.executed) << result.execution_status;
+  EXPECT_EQ(result.snippet.num_rows(), soda_->config().snippet_rows);
+}
+
 }  // namespace
 }  // namespace soda

@@ -139,6 +139,16 @@ TEST(SqlParserTest, NumericLiterals) {
   EXPECT_EQ(stmt->where[1].op, CompareOp::kNe);
 }
 
+TEST(SqlParserTest, LimitZeroAndInt64Bounds) {
+  auto stmt = ParseSql(
+      "SELECT * FROM t WHERE a = 9223372036854775807 "
+      "AND b = -9223372036854775808 LIMIT 0");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  EXPECT_EQ(stmt->where[0].rhs.literal, Value::Int(INT64_MAX));
+  EXPECT_EQ(stmt->where[1].rhs.literal, Value::Int(INT64_MIN));
+  EXPECT_EQ(stmt->limit, 0);
+}
+
 // Error cases: every malformed input must fail with kParseError, never
 // crash or mis-parse.
 class SqlParserErrorTest : public ::testing::TestWithParam<const char*> {};
@@ -159,7 +169,10 @@ INSTANTIATE_TEST_SUITE_P(
                       "SELECT * FROM t WHERE name = 'unterminated",
                       "SELECT * FROM t trailing garbage ! here",
                       "SELECT count(a FROM t",
-                      "SELECT * FROM t WHERE d = DATE '2011-13-01'"));
+                      "SELECT * FROM t WHERE d = DATE '2011-13-01'",
+                      "SELECT * FROM t LIMIT -1",
+                      "SELECT * FROM t WHERE a = 99999999999999999999",
+                      "SELECT * FROM t LIMIT 99999999999999999999"));
 
 }  // namespace
 }  // namespace soda
